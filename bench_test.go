@@ -331,11 +331,6 @@ func BenchmarkAliveVerifyClamp(b *testing.B) {
 // window (body shared with the `lpo-bench -json` snapshot).
 func BenchmarkInterpExec(b *testing.B) { experiments.BenchInterpExec(b) }
 
-// BenchmarkInterpCompiled is BenchmarkInterpExec through the compile-once
-// evaluator: the per-execution cost once the window is compiled (body shared
-// with the `lpo-bench -json` snapshot).
-func BenchmarkInterpCompiled(b *testing.B) { experiments.BenchInterpCompiled(b) }
-
 // BenchmarkInterpBatch executes one lane batch (interp.BatchWidth vectors)
 // of the clamp window per op through a warm evaluator (body shared with the
 // `lpo-bench -json` snapshot); divide by interp.BatchWidth for per-vector

@@ -11,8 +11,9 @@
 // The -stats flag prints the tiered scheduler's behaviour for each check:
 // how many input vectors every tier executed (pool replays / special values
 // / random samples), which tier found the counterexample, the batch
-// coverage (vectors run lane-batched versus the per-vector fallback), and
-// the pool's deposit counters — so the scheduler is observable from the CLI.
+// coverage (vectors run lane-batched versus by the reference interpreter),
+// and the pool's deposit counters — so the scheduler is observable from the
+// CLI.
 //
 // Usage:
 //

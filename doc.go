@@ -94,24 +94,26 @@
 // phase. interp.Compile lowers a function once into a Program: every SSA
 // value is numbered into a dense register slot, constants are materialized
 // into an immutable pool, and block successors and phi edges are resolved to
-// indices. An interp.Evaluator executes the Program over any number of
-// input vectors with reusable scratch storage (register arena, operand
-// views, store/bitcast buffers), so a steady-state run performs zero
-// allocations per execution. Both the evaluator and the reference
-// tree-walker (interp.Exec, kept for one-shot callers and as the semantic
-// baseline) call the same per-opcode kernels, and differential tests pin
-// them bit-identical — values, poison lanes, UB reasons, step counts and
-// final memory.
+// indices. An interp.Evaluator executes the Program over batches of input
+// vectors with reusable scratch storage (register arena, operand runs,
+// store/bitcast buffers), so a steady-state run performs zero allocations
+// per execution. The evaluator is the only executor production code uses.
+// The reference tree-walker (interp.Exec) stays as an independent oracle —
+// alive.ReferenceVerify runs on it, and opt's constant folder uses it for
+// one-shot zero-argument folds. Both call the same per-opcode kernels, and
+// differential tests plus a native fuzz target (FuzzBatchMatchesExec, over
+// arbitrary .ll text) pin them bit-identical — values, poison lanes, UB
+// reasons, step counts and final memory.
 //
 // The fast path covers the dominant window shape: a single straight-line
 // block whose operands are parameters, constants, or earlier results —
 // scalar or vector, with or without memory, with full poison semantics —
 // and skips per-run defined-register bookkeeping and block dispatch.
-// Multi-block functions (phis, loops) run on the same register machine with
-// those guards enabled; the one construct the register machine does not
-// model (vector constants with runtime elements) is marked unbatchable at
-// compile time (Program.Batchable, with BatchFallbackReason naming why).
-// interp.Cache memoizes Programs by structural hash: the engine installs
+// Everything else runs with those guards enabled, including vector
+// constants whose elements are runtime values (splat (i8 %x),
+// <2 x i8> <i8 %x, i8 3>): each use gathers the lanes from the executing
+// lane's registers, with the reference interpreter's operand order and UB
+// reasons. interp.Cache memoizes Programs by structural hash: the engine installs
 // one cache per campaign shared by its verify stage and the generalize
 // width sweeps, and the Souper/Minotaur CEGIS loops reuse compiled
 // candidates across their filtering vectors and final checks.
@@ -131,8 +133,7 @@
 // block keeps a bitmask of lanes waiting to execute it, the scheduler
 // always resumes the lowest-numbered runnable block so lanes that diverged
 // at a branch reconverge at the join, and per-lane step budgets, phi
-// predecessors and defined-register guards match single-vector Run exactly
-// — a lane that exhausts its budget or trips UB simply drops out of every
+// predecessors and defined-register guards match Exec exactly — a lane that exhausts its budget or trips UB simply drops out of every
 // later mask. Memory-touching programs batch over per-lane memory slabs
 // (interp.BatchMems): one lane-strided allocation per declared region,
 // carved into BatchWidth isolated Memory views at identical base
@@ -149,19 +150,21 @@
 // counterexamples (alive.CEPool — campaign-scoped and concurrency-safe:
 // every falsified candidate deposits the refuting input, CEGIS-style, so
 // repeat offenders die in a handful of executions); tier 1 runs the
-// exhaustive/special-value phases and tier 2 the random phases, both
-// streamed through the lane-batched evaluators whenever both programs
-// compile batchable — straight-line or branchy, with or without memory.
+// exhaustive/special-value phases and tier 2 the random phases. Every tier
+// streams through the lane-batched evaluators — straight-line or branchy,
+// with or without memory; tier 0 replays only vectors whose pointer
+// arguments are defined, since the batched fill pins them to region bases.
 // The input generator emits columnwise (inputGen.nextBatch binds each
 // output vector to a different ArgColumn slot before drawing it, keeping
 // the vector-major rng draw order that same-seed reproducibility pins),
 // memory fills land directly in the per-lane slabs, and refuted pairs
 // restore the raw generated pointer words and initial region bytes so the
-// counterexample text stays byte-identical to the per-vector path (and to
-// alive.ReferenceVerify, the retained Exec-per-input baseline). Result.Tiers
-// reports per-tier executions, the killing tier and the batched/fallback
-// split (Batched + Fallback == Checked — tier-0 pool replays are always
-// per-vector, everything else batches unless a program is unbatchable);
+// counterexample text stays byte-identical to alive.ReferenceVerify, the
+// Exec-per-input oracle that shares no execution path with the Checker.
+// Result.Tiers reports per-tier executions, the killing tier and the
+// batched/fallback split (Batched + Fallback == Checked; Fallback counts
+// vectors run by the reference interpreter, which only ReferenceVerify
+// does);
 // `lpo-verify -stats` prints them, engine.Stats aggregates them campaign-
 // wide as BatchCoverage, and GET /v1/stats serves them.
 // alive.VerifyWidths reseeds each width of a sweep with earlier widths'
@@ -178,7 +181,7 @@
 // "go_version", "benchmarks" — an array of {name, ns_per_op, allocs_per_op,
 // bytes_per_op, iterations} for the workloads verify_checker,
 // verify_reference, verify_batch, verify_multiblock, verify_memory,
-// verify_widths, interp_exec, interp_compiled, interp_batch,
+// verify_widths, interp_exec, interp_batch,
 // opt_dispatch_all_rules and opt_run_o3 (mirrored by the root-level
 // BenchmarkVerify*/BenchmarkInterp* benchmarks; interp_batch measures one
 // whole BatchWidth-vector batch per op, verify_multiblock/verify_memory

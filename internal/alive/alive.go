@@ -17,11 +17,14 @@
 //
 // Verification is the discovery loop's inner loop, so it is built around a
 // compile-once Checker: both functions are compiled to interp Programs
-// (optionally via a shared Options.Programs cache), input vectors stream
-// lazily through two reusable Evaluators, and a CounterExample is
-// materialized only on an actual violation — a steady-state Verify performs
-// O(1) amortized allocations per input vector. ReferenceVerify keeps the
-// historic Exec-per-input path as the semantic baseline.
+// (optionally via a shared Options.Programs cache), and every input vector —
+// tier-0 replays and generated vectors alike — streams in lane batches
+// through two reusable Evaluators. A CounterExample is materialized only on
+// an actual violation, so a steady-state Verify performs O(1) amortized
+// allocations per input vector. ReferenceVerify re-walks both functions with
+// the reference interpreter (interp.Exec) per input and shares no execution
+// path with the Checker: it is the independent oracle that differential
+// tests and benchmark re-checks compare the Checker against.
 package alive
 
 import (
@@ -167,9 +170,10 @@ type TierStats struct {
 	RandomChecked  int // tier 2: random samples
 	KillTier       int // Tier* constant of the violating vector, TierNone if none
 
-	// Batched and Fallback split Checked by execution path: vectors run on
-	// the lane-batched fast path versus per-vector execution (tier-0
-	// replays and non-batchable programs). Batched+Fallback == Checked.
+	// Batched and Fallback split Checked by execution path: vectors the
+	// Checker ran lane-batched versus vectors run by the reference
+	// interpreter, which only ReferenceVerify does. Batched+Fallback ==
+	// Checked.
 	Batched  int
 	Fallback int
 }
@@ -197,36 +201,31 @@ type Result struct {
 
 // Checker is a compiled (source, target) refinement obligation: both
 // functions are lowered once into interp Programs and every Verify call
-// streams input vectors through two reusable evaluators. Build one with
-// NewChecker and reuse it when the same pair is re-verified (CEGIS rounds);
-// the one-shot Verify wrapper covers everything else. A Checker is not safe
-// for concurrent use (the evaluators share scratch); compile one per
-// goroutine — the underlying Programs may be shared via Options.Programs.
+// streams input vectors in lane batches through two reusable evaluators.
+// Build one with NewChecker and reuse it when the same pair is re-verified
+// (CEGIS rounds); the one-shot Verify wrapper covers everything else. A
+// Checker is not safe for concurrent use (the evaluators share scratch);
+// compile one per goroutine — the underlying Programs may be shared via
+// Options.Programs.
 type Checker struct {
 	src, tgt *ir.Func
 	opts     Options
 	sigErr   string
 
-	se, te           *interp.Evaluator
-	srcMem, tgtMem   *interp.Memory
-	srcRegs, tgtRegs []*interp.Region // pointer-param regions, in param order
-	ptrParams        []int            // param indices of pointer type
-	args             []interp.RVal    // per-vector argument buffer
-	baseArgs         []interp.RVal    // prebuilt region-base pointers per param
+	se, te    *interp.Evaluator
+	ptrParams []int // param indices of pointer type
 
 	winKey  uint64 // pool key of the source window (lazy)
 	haveKey bool
 	seeds   []PoolVector // extra tier-0 vectors (width-sweep reseeding)
 
-	// Lane-batched streaming state, built lazily when both programs are
-	// batchable (everything except dynamic-vector-constant programs). The
-	// generator writes each vector directly into the source evaluator's
-	// input columns (bArgs views them per batch slot), the columns are
-	// bulk-copied into the target evaluator, and both sides run with
-	// RunBatchFilled — no per-vector staging or scatter at all. Pairs with
-	// pointer parameters additionally carry per-lane slab memories: each
-	// batch slot's regions are reset to that vector's initial fill before
-	// the runs and diffed lane against lane afterwards.
+	// Lane-batched streaming state. Each vector is written directly into
+	// the source evaluator's input columns (bArgs views them per batch
+	// slot), the columns are bulk-copied into the target evaluator, and both
+	// sides run with RunBatchFilled — no per-vector staging or scatter at
+	// all. Pairs with pointer parameters additionally carry per-lane slab
+	// memories: each batch slot's regions are reset to that vector's
+	// initial fill before the runs and diffed lane against lane afterwards.
 	bArgs            [][]interp.RVal // per batch slot: views into srcCols
 	srcCols, tgtCols [][]interp.Word // per param: the evaluators' input columns
 	bTiers           []int8
@@ -248,23 +247,12 @@ func NewChecker(src, tgt *ir.Func, opts Options) *Checker {
 	}
 	c.se = interp.NewEvaluator(opts.Programs.Program(src))
 	c.te = interp.NewEvaluator(opts.Programs.Program(tgt))
-	c.args = make([]interp.RVal, len(src.Params))
-	c.baseArgs = make([]interp.RVal, len(src.Params))
 	for i, p := range src.Params {
-		if !ir.IsPtr(p.Ty) {
-			continue
-		}
-		c.ptrParams = append(c.ptrParams, i)
-		c.baseArgs[i] = interp.Scalar(ir.Ptr, regionBase(i))
-	}
-	if len(c.ptrParams) > 0 {
-		c.srcMem, c.tgtMem = interp.NewMemory(), interp.NewMemory()
-		for _, i := range c.ptrParams {
-			p := src.Params[i]
-			c.srcRegs = append(c.srcRegs, c.srcMem.AddRegion(p.Nm, regionBase(i), opts.MemSize))
-			c.tgtRegs = append(c.tgtRegs, c.tgtMem.AddRegion(p.Nm, regionBase(i), opts.MemSize))
+		if ir.IsPtr(p.Ty) {
+			c.ptrParams = append(c.ptrParams, i)
 		}
 	}
+	c.initBatch()
 	return c
 }
 
@@ -291,11 +279,11 @@ func (c *Checker) windowKey() uint64 {
 
 // Verify runs the tiered scheduler: tier 0 replays pooled/seeded
 // counterexamples for this source window, then the generated input sequence
-// streams through — lane-batched when both programs take the batch fast
-// path — with the exhaustive/special phases attributed to tier 1 and the
-// random phases to tier 2. The generated sequence, the first violating
-// vector and the resulting counterexample are identical to the historic
-// per-vector path (and to ReferenceVerify); only tier 0 can find a
+// streams through, with the exhaustive/special phases attributed to tier 1
+// and the random phases to tier 2. Every tier runs lane-batched, and
+// vectors are scanned in order within each batch, so the first violating
+// vector — and therefore Checked and the counterexample — is the one a
+// vector-at-a-time scan (and ReferenceVerify) finds. Only tier 0 can find a
 // violation earlier, and only when a previous candidate for the same window
 // already failed on that input. Any violation deposits its vector into
 // Options.Pool. Verify may be called repeatedly (e.g. with the checker
@@ -305,49 +293,29 @@ func (c *Checker) Verify() Result {
 		return Result{Verdict: Unsupported, Err: c.sigErr}
 	}
 	res := Result{}
-	// Tier 0: replay counterexamples that killed earlier candidates for
-	// this window, plus explicitly seeded vectors.
-	if c.opts.Pool != nil || len(c.seeds) > 0 {
-		key := c.windowKey()
-		pooled := c.opts.Pool.Vectors(key)
-		for vi, pv := range append(pooled, c.seeds...) {
-			if !c.compatible(pv) {
-				continue
-			}
-			res.Checked++
-			res.Tiers.PoolChecked++
-			res.Tiers.Fallback++
-			if ce := c.checkVector(pv.Inputs, pv.Mem); ce != nil {
-				res.Verdict = Incorrect
-				res.CE = ce
-				res.Tiers.KillTier = TierPool
-				// Seed-sourced kills (width-sweep reseeds) are new to this
-				// window and worth pooling; a pool-sourced kill is already
-				// stored — mark it referenced instead so the per-window
-				// clock keeps vectors that still earn their slot.
-				if vi >= len(pooled) {
-					c.opts.Pool.Add(key, ce.Inputs, ce.Memory)
-				} else {
-					c.opts.Pool.Touch(key, pv.Inputs, pv.Mem)
-				}
-				return res
-			}
-		}
+	if (c.opts.Pool != nil || len(c.seeds) > 0) && c.replay(&res) {
+		return res
 	}
 	gen := newInputGen(c.src, c.opts)
 	res.Exhaustive = gen.exhaustive
-	if c.se.Program().Batchable() && c.te.Program().Batchable() {
-		return c.verifyBatched(gen, res)
+	var fill func(int)
+	if len(c.ptrParams) > 0 {
+		fill = func(b int) { c.pinSlot(b, gen.memBytes) }
 	}
-	for gen.next() {
-		res.Checked++
-		tier := gen.tier()
-		res.Tiers.count(tier)
-		res.Tiers.Fallback++
-		if ce := c.checkVector(gen.inputs, gen.memBytes); ce != nil {
-			res.Verdict = Incorrect
-			res.CE = ce
-			res.Tiers.KillTier = tier
+	for {
+		n := gen.nextBatch(c.bArgs, c.bTiers, fill)
+		if n == 0 {
+			break
+		}
+		if i := c.runBatch(n, &res); i >= 0 {
+			ce := res.CE
+			ce.Inputs = cloneRVals(c.bArgs[i])
+			for j, pi := range c.ptrParams {
+				ce.Inputs[pi].Lanes[0] = c.ptrSave[j][i]
+			}
+			if c.bFills != nil {
+				ce.Memory = cloneByteSlices(c.bFills[i])
+			}
 			c.deposit(ce)
 			return res
 		}
@@ -356,15 +324,68 @@ func (c *Checker) Verify() Result {
 	return res
 }
 
+// replay is tier 0: it runs the counterexamples that killed earlier
+// candidates for this window, plus explicitly seeded vectors, in order and
+// in lane batches. On a violation it records the counterexample in res —
+// carrying the replayed vector's own inputs and memory — and reports true.
+func (c *Checker) replay(res *Result) bool {
+	key := c.windowKey()
+	pooled := c.opts.Pool.Vectors(key)
+	vecs := append(pooled, c.seeds...)
+	var live []int // indices into vecs of the vectors this checker can run
+	for vi, pv := range vecs {
+		if c.compatible(pv) {
+			live = append(live, vi)
+		}
+	}
+	for base := 0; base < len(live); base += interp.BatchWidth {
+		chunk := live[base:min(base+interp.BatchWidth, len(live))]
+		for slot, vi := range chunk {
+			pv := vecs[vi]
+			for i, in := range pv.Inputs {
+				copy(c.bArgs[slot][i].Lanes, in.Lanes)
+			}
+			c.bTiers[slot] = TierPool
+			c.pinSlot(slot, pv.Mem)
+		}
+		slot := c.runBatch(len(chunk), res)
+		if slot < 0 {
+			continue
+		}
+		vi := chunk[slot]
+		pv := vecs[vi]
+		ce := res.CE
+		ce.Inputs, ce.Memory = cloneRVals(pv.Inputs), cloneByteSlices(pv.Mem)
+		// Seed-sourced kills (width-sweep reseeds) are new to this window
+		// and worth pooling; a pool-sourced kill is already stored — mark it
+		// referenced instead so the per-window clock keeps vectors that
+		// still earn their slot.
+		if vi >= len(pooled) {
+			c.opts.Pool.Add(key, ce.Inputs, ce.Memory)
+		} else {
+			c.opts.Pool.Touch(key, pv.Inputs, pv.Mem)
+		}
+		return true
+	}
+	return false
+}
+
 // compatible reports whether a pooled/seeded vector fits this checker's
 // signature (vectors stored under a window key always do; seeded vectors
-// from other widths are pre-rescaled but still validated here).
+// from other widths are pre-rescaled but still validated here) and its
+// batched memory setup: every pointer argument is a defined lane — the
+// fill pins it to its region base — with a full region's initial bytes.
 func (c *Checker) compatible(pv PoolVector) bool {
 	if len(pv.Inputs) != len(c.src.Params) || len(pv.Mem) != len(c.ptrParams) {
 		return false
 	}
 	for i, p := range c.src.Params {
 		if len(pv.Inputs[i].Lanes) != ir.Lanes(p.Ty) {
+			return false
+		}
+	}
+	for j, i := range c.ptrParams {
+		if pv.Inputs[i].AnyPoison() || len(pv.Mem[j]) != c.opts.MemSize {
 			return false
 		}
 	}
@@ -379,102 +400,75 @@ func (c *Checker) deposit(ce *CounterExample) {
 	}
 }
 
-// verifyBatched streams the generator through both compiled programs in
-// lane batches of interp.BatchWidth. Violations are scanned in generation
-// order within each batch, so the first violating vector — and therefore
-// Checked and the counterexample — match the per-vector path bit for bit.
-// Pointer-parameter pairs run against per-lane slab memories: the fill
-// hook snapshots each vector's initial memory into its lane (and saves the
-// raw generated pointer words for counterexample fidelity) before the
-// columns' pointer slots are pinned to the fixed region bases.
-func (c *Checker) verifyBatched(gen *inputGen, res Result) Result {
-	c.initBatch()
-	retVoid := ir.IsVoid(c.src.Ret)
-	fpBits := retFPBits(c.src.Ret)
-	var fill func(int)
-	var srcMems, tgtMems []*interp.Memory
-	if len(c.ptrParams) > 0 {
-		srcMems, tgtMems = c.srcBM.Mems, c.tgtBM.Mems
-		fill = func(b int) {
-			for j, pi := range c.ptrParams {
-				c.ptrSave[j][b] = c.srcCols[pi][b]
-				c.srcCols[pi][b] = interp.Word{V: regionBase(pi)}
-				copy(c.bFills[b][j], gen.memBytes[j])
-				c.srcBM.ResetLane(j, b, gen.memBytes[j])
-				c.tgtBM.ResetLane(j, b, gen.memBytes[j])
-			}
-		}
+// pinSlot prepares batch slot b's pointer arguments after its inputs were
+// written: it saves each raw pointer word (counterexamples report the
+// vector as generated), pins the word to the parameter's region base, and
+// resets the slot's memories to the initial contents mem.
+func (c *Checker) pinSlot(b int, mem [][]byte) {
+	for j, pi := range c.ptrParams {
+		c.ptrSave[j][b] = c.srcCols[pi][b]
+		c.srcCols[pi][b] = interp.Word{V: regionBase(pi)}
+		copy(c.bFills[b][j], mem[j])
+		c.srcBM.ResetLane(j, b, mem[j])
+		c.tgtBM.ResetLane(j, b, mem[j])
 	}
-	for {
-		n := gen.nextBatch(c.bArgs, c.bTiers, fill)
-		if n == 0 {
-			break
-		}
-		for k := range c.srcCols {
-			lanesPerVec := len(c.srcCols[k]) / interp.BatchWidth
-			copy(c.tgtCols[k][:n*lanesPerVec], c.srcCols[k][:n*lanesPerVec])
-		}
-		// The gate above checked Batchable on both programs, so neither call
-		// can fail; a non-nil error here is a bug in the gate.
-		if err := c.se.RunBatchFilled(n, c.srcRes[:n], srcMems); err != nil {
-			panic(err)
-		}
-		if err := c.te.RunBatchFilled(n, c.tgtRes[:n], tgtMems); err != nil {
-			panic(err)
-		}
-		for i := 0; i < n; i++ {
-			res.Checked++
-			res.Tiers.count(int(c.bTiers[i]))
-			res.Tiers.Batched++
-			rs, rt := &c.srcRes[i], &c.tgtRes[i]
-			if !rs.Completed || rs.UB {
-				continue // out of budget or source UB: target unconstrained
-			}
-			if !rt.Completed {
-				continue
-			}
-			diff := ""
-			if !rt.UB && (retVoid || refinesLanes(rs.Ret.Lanes, rt.Ret.Lanes, fpBits)) {
-				if len(c.ptrParams) > 0 {
-					diff = memDiff(c.srcBM.Mems[i], c.tgtBM.Mems[i])
-				}
-				if diff == "" {
-					continue
-				}
-			}
-			inputs := cloneRVals(c.bArgs[i])
-			for j, pi := range c.ptrParams {
-				inputs[pi].Lanes[0] = c.ptrSave[j][i]
-			}
-			var memCopy [][]byte
-			if c.bFills != nil {
-				memCopy = cloneByteSlices(c.bFills[i])
-			}
-			ce := &CounterExample{Params: c.src.Params,
-				Inputs: inputs, Memory: memCopy,
-				SrcRet: rs.Ret.Clone(), TgtRet: rt.Ret.Clone(),
-				SrcUB: rs.UB, TgtUB: rt.UB, TgtWhy: rt.UBReason, MemDiff: diff}
-			res.Verdict = Incorrect
-			res.CE = ce
-			res.Tiers.KillTier = int(c.bTiers[i])
-			c.deposit(ce)
-			return res
-		}
-	}
-	res.Verdict = Correct
-	return res
 }
 
-// initBatch wires the generator-facing argument views straight into the
-// source evaluator's input columns (one RVal view per batch slot and
-// parameter), so filling a batch writes the arena directly and the target
-// side needs only one bulk column copy per parameter. Pairs with pointer
-// parameters also build the per-lane slab memories, the per-slot fill
-// snapshots behind counterexamples, and the raw-pointer-word save area.
-func (c *Checker) initBatch() {
-	if c.bArgs != nil {
-		return
+// runBatch executes the first n filled batch slots through both programs
+// and checks the refinement obligation slot by slot, counting each checked
+// vector into res. At the first violation it records the verdict, kill tier
+// and a counterexample — whose Inputs and Memory the caller fills in — in
+// res and returns the slot; otherwise it returns -1.
+func (c *Checker) runBatch(n int, res *Result) int {
+	for k := range c.srcCols {
+		lanesPerVec := len(c.srcCols[k]) / interp.BatchWidth
+		copy(c.tgtCols[k][:n*lanesPerVec], c.srcCols[k][:n*lanesPerVec])
 	}
+	var srcMems, tgtMems []*interp.Memory
+	if c.srcBM != nil {
+		srcMems, tgtMems = c.srcBM.Mems, c.tgtBM.Mems
+	}
+	c.se.RunBatchFilled(n, c.srcRes[:n], srcMems)
+	c.te.RunBatchFilled(n, c.tgtRes[:n], tgtMems)
+	retVoid := ir.IsVoid(c.src.Ret)
+	fpBits := retFPBits(c.src.Ret)
+	for i := 0; i < n; i++ {
+		res.Checked++
+		res.Tiers.count(int(c.bTiers[i]))
+		res.Tiers.Batched++
+		rs, rt := &c.srcRes[i], &c.tgtRes[i]
+		if !rs.Completed || rs.UB {
+			continue // out of budget or source UB: target unconstrained
+		}
+		if !rt.Completed {
+			continue
+		}
+		diff := ""
+		if !rt.UB && (retVoid || refinesLanes(rs.Ret.Lanes, rt.Ret.Lanes, fpBits)) {
+			if c.srcBM != nil {
+				diff = memDiff(c.srcBM.Mems[i], c.tgtBM.Mems[i])
+			}
+			if diff == "" {
+				continue
+			}
+		}
+		res.Verdict = Incorrect
+		res.Tiers.KillTier = int(c.bTiers[i])
+		res.CE = &CounterExample{Params: c.src.Params,
+			SrcRet: rs.Ret.Clone(), TgtRet: rt.Ret.Clone(),
+			SrcUB: rs.UB, TgtUB: rt.UB, TgtWhy: rt.UBReason, MemDiff: diff}
+		return i
+	}
+	return -1
+}
+
+// initBatch wires the per-slot argument views straight into the source
+// evaluator's input columns (one RVal view per batch slot and parameter),
+// so filling a batch writes the arena directly and the target side needs
+// only one bulk column copy per parameter. Pairs with pointer parameters
+// also build the per-lane slab memories, the per-slot fill snapshots behind
+// counterexamples, and the raw-pointer-word save area.
+func (c *Checker) initBatch() {
 	np := len(c.src.Params)
 	c.bTiers = make([]int8, interp.BatchWidth)
 	c.srcRes = make([]interp.Result, interp.BatchWidth)
@@ -482,17 +476,8 @@ func (c *Checker) initBatch() {
 	c.srcCols = make([][]interp.Word, np)
 	c.tgtCols = make([][]interp.Word, np)
 	for i := range c.src.Params {
-		// Verify gated on Batchable for both programs, so neither call can
-		// fail here.
-		col, err := c.se.ArgColumn(i)
-		if err != nil {
-			panic(err)
-		}
-		c.srcCols[i] = col
-		if col, err = c.te.ArgColumn(i); err != nil {
-			panic(err)
-		}
-		c.tgtCols[i] = col
+		c.srcCols[i] = c.se.ArgColumn(i)
+		c.tgtCols[i] = c.te.ArgColumn(i)
 	}
 	c.bArgs = make([][]interp.RVal, interp.BatchWidth)
 	vals := make([]interp.RVal, interp.BatchWidth*np)
@@ -527,68 +512,6 @@ func (c *Checker) initBatch() {
 			fl[j] = fillBuf[off : off+c.opts.MemSize : off+c.opts.MemSize]
 		}
 		c.bFills[b] = fl
-	}
-}
-
-// checkVector runs both compiled functions on one concrete input vector and
-// checks the refinement obligation, materializing a counterexample only on
-// violation. inputs and memBytes are borrowed from the generator and cloned
-// if retained.
-func (c *Checker) checkVector(inputs []interp.RVal, memBytes [][]byte) *CounterExample {
-	for _, i := range c.ptrParams {
-		if inputs[i].AnyPoison() {
-			// A poison pointer base changes the region layout; defer to the
-			// reference path for exactness (the generator never emits this).
-			return checkOne(c.src, c.tgt, c.src.Params, inputs, memBytes, c.opts)
-		}
-	}
-	copy(c.args, inputs)
-	for _, i := range c.ptrParams {
-		c.args[i] = c.baseArgs[i]
-	}
-	resetRegions(c.srcRegs, memBytes)
-	rs := c.se.Run(interp.Env{Args: c.args, Mem: c.srcMem})
-	if !rs.Completed {
-		return nil // out of budget: inconclusive, skip this input
-	}
-	if rs.UB {
-		return nil // source UB: target unconstrained
-	}
-	resetRegions(c.tgtRegs, memBytes)
-	rt := c.te.Run(interp.Env{Args: c.args, Mem: c.tgtMem})
-	if !rt.Completed {
-		return nil
-	}
-	violation := func() *CounterExample {
-		return &CounterExample{Params: c.src.Params,
-			Inputs: cloneRVals(inputs), Memory: cloneByteSlices(memBytes),
-			SrcRet: rs.Ret.Clone(), TgtRet: rt.Ret.Clone(),
-			SrcUB: rs.UB, TgtUB: rt.UB, TgtWhy: rt.UBReason}
-	}
-	if rt.UB {
-		return violation()
-	}
-	if !retRefines(c.src.Ret, rs.Ret, rt.Ret) {
-		return violation()
-	}
-	if c.srcMem != nil {
-		if diff := memDiff(c.srcMem, c.tgtMem); diff != "" {
-			ce := violation()
-			ce.MemDiff = diff
-			return ce
-		}
-	}
-	return nil
-}
-
-// resetRegions restores the prebuilt regions to the given initial contents
-// and clears their poison shadows.
-func resetRegions(regs []*interp.Region, memBytes [][]byte) {
-	for j, r := range regs {
-		copy(r.Data, memBytes[j])
-		for i := range r.Poison {
-			r.Poison[i] = false
-		}
 	}
 }
 

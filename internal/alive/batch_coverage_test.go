@@ -4,12 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/parser"
 )
 
-// batchedPairs are (src, tgt, wantCorrect) triples whose shapes used to
-// force the per-vector fallback: memory access, multi-block control flow,
-// and both at once. All are batchable now.
+// batchedPairs are (src, tgt, wantCorrect) triples over the shapes that
+// need the batch executor's per-lane machinery: memory access, multi-block
+// control flow, and both at once.
 var batchedPairs = []struct {
 	name    string
 	src     string
@@ -93,9 +94,8 @@ zero:
 		false},
 }
 
-// TestBatchedMatchesReferenceOnMemoryAndBranches is the tentpole's
-// differential: memory-touching and multi-block pairs — the shapes that
-// used to fall back to per-vector execution — run entirely on the
+// TestBatchedMatchesReferenceOnMemoryAndBranches is the differential for
+// memory-touching and multi-block pairs: they run entirely on the
 // lane-batched path and must agree with ReferenceVerify on verdict, counts
 // and byte-identical counterexample text.
 func TestBatchedMatchesReferenceOnMemoryAndBranches(t *testing.T) {
@@ -125,9 +125,10 @@ func TestBatchedMatchesReferenceOnMemoryAndBranches(t *testing.T) {
 }
 
 // TestBatchCoverageCounters pins the Batched/Fallback split: the two always
-// sum to Checked, batchable pairs run fully batched, and dynamic-vector
-// programs (the one remaining fallback class) count every vector as
-// fallback.
+// sum to Checked, and the Checker runs every pair fully batched — including
+// dynamic vector constants such as splat (i8 %x), whose verdicts and
+// counterexample text equal the reference path's. Only ReferenceVerify
+// counts fallback vectors.
 func TestBatchCoverageCounters(t *testing.T) {
 	for _, tc := range batchedPairs {
 		src := parser.MustParseFunc(tc.src)
@@ -139,21 +140,31 @@ func TestBatchCoverageCounters(t *testing.T) {
 		}
 	}
 
-	// A dynamic vector constant keeps the program on the per-vector path.
 	dyn := parser.MustParseFunc(
 		`define <2 x i8> @f(<2 x i8> %v, i8 %x) { %r = add <2 x i8> %v, splat (i8 %x) ret <2 x i8> %r }`)
-	res := Verify(dyn, dyn, Options{Seed: 9, Samples: 64})
-	if res.Verdict != Correct {
-		t.Fatalf("reflexive verify must hold, got %v", res.Verdict)
-	}
-	if res.Tiers.Batched != 0 || res.Tiers.Fallback != res.Checked || res.Checked == 0 {
-		t.Fatalf("dynamic-vector pair should be all fallback: batched %d fallback %d checked %d",
-			res.Tiers.Batched, res.Tiers.Fallback, res.Checked)
-	}
-
-	ref := ReferenceVerify(dyn, dyn, Options{Seed: 9, Samples: 64})
-	if ref.Tiers.Fallback != ref.Checked {
-		t.Fatalf("reference path counts every vector as fallback: %+v", ref.Tiers)
+	half := parser.MustParseFunc(
+		`define <2 x i8> @g(<2 x i8> %v, i8 %x) { %r = add <2 x i8> %v, <i8 %x, i8 1> ret <2 x i8> %r }`)
+	for _, tc := range []struct {
+		name    string
+		tgt     *ir.Func
+		verdict Verdict
+	}{{"reflexive", dyn, Correct}, {"refuted", half, Incorrect}} {
+		opts := Options{Seed: 9, Samples: 64}
+		res := Verify(dyn, tc.tgt, opts)
+		if res.Verdict != tc.verdict {
+			t.Fatalf("%s: verdict %v, want %v", tc.name, res.Verdict, tc.verdict)
+		}
+		if res.Tiers.Fallback != 0 || res.Tiers.Batched != res.Checked || res.Checked == 0 {
+			t.Fatalf("%s: dynamic-vector pair should run fully batched: batched %d fallback %d checked %d",
+				tc.name, res.Tiers.Batched, res.Tiers.Fallback, res.Checked)
+		}
+		ref := ReferenceVerify(dyn, tc.tgt, opts)
+		if diff := resultsEqual(res, ref); diff != "" {
+			t.Fatalf("%s: batched and reference disagree: %s", tc.name, diff)
+		}
+		if ref.Tiers.Batched != 0 || ref.Tiers.Fallback != ref.Checked {
+			t.Fatalf("%s: reference path counts every vector as fallback: %+v", tc.name, ref.Tiers)
+		}
 	}
 }
 

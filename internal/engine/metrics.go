@@ -39,7 +39,7 @@ type Stats struct {
 	// Tiered-verification counters (see alive.TierStats): how many refuted
 	// candidates each scheduler tier killed, and the total input vectors
 	// the verify stage executed, split by execution path (lane-batched
-	// versus per-vector fallback).
+	// versus the reference interpreter).
 	poolKills, specialKills, randomKills int
 	verifyExecs                          int
 	batchedExecs, fallbackExecs          int
@@ -118,8 +118,8 @@ func (s *Stats) recordDegraded() {
 
 // recordVerify tallies one actual (non-cached) verification: the tier that
 // killed the candidate (alive.TierNone..TierRandom), how many input vectors
-// ran, and how they split between the lane-batched path and the per-vector
-// fallback.
+// ran, and how they split between the lane-batched path and the reference
+// interpreter.
 func (s *Stats) recordVerify(checked int, tiers alive.TierStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -259,8 +259,9 @@ func (s *Stats) VerifyExecs() int {
 }
 
 // BatchExecs splits VerifyExecs by execution path: vectors run on the
-// lane-batched interpreter versus the per-vector fallback (tier-0 replays
-// and non-batchable programs). batched+fallback == VerifyExecs.
+// lane-batched interpreter versus vectors run by the reference interpreter
+// (alive.TierStats.Fallback, which the Checker never produces, so fallback
+// is 0 for engine campaigns). batched+fallback == VerifyExecs.
 func (s *Stats) BatchExecs() (batched, fallback int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

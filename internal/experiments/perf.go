@@ -60,10 +60,10 @@ type PerfTierKills struct {
 }
 
 // PerfBatchCoverage records how a corpus self-verification sweep split
-// between the lane-batched execution path and the per-vector fallback (see
-// measureBatchCoverage). The split is deterministic for the fixed seed, so
-// a change that silently knocks program shapes off the batched path is
-// CI-visible even when every ns/op still passes.
+// between the lane-batched execution path and the reference interpreter
+// (see measureBatchCoverage). The split is deterministic for the fixed
+// seed, so a change that silently moves verification off the batched path
+// is CI-visible even when every ns/op still passes.
 type PerfBatchCoverage struct {
 	Batched  int64   `json:"batched"`
 	Fallback int64   `json:"fallback"`
@@ -393,23 +393,10 @@ func BenchInterpExec(b *testing.B) {
 	}
 }
 
-// BenchInterpCompiled is BenchInterpExec through a warm compiled evaluator:
-// the per-execution cost once the window is compiled.
-func BenchInterpCompiled(b *testing.B) {
-	perfFuncs()
-	ev := interp.NewEvaluator(interp.Compile(perfClampSrcF))
-	env := interp.Env{Args: []interp.RVal{interp.Scalar(ir.I32, 1234)}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Run(env)
-	}
-}
-
 // BenchInterpBatch executes one lane batch (interp.BatchWidth input
 // vectors) of the clamp window through a warm evaluator per op — divide
 // ns/op by interp.BatchWidth for the per-vector cost the batched verifier
-// pays, against interp_compiled's per-vector dispatch cost.
+// pays, against interp_exec's per-vector cost.
 func BenchInterpBatch(b *testing.B) {
 	perfFuncs()
 	ev := interp.NewEvaluator(interp.Compile(perfClampSrcF))
@@ -629,7 +616,6 @@ var perfWorkloads = []struct {
 	{"verify_memory", BenchVerifyMemory},
 	{"verify_widths", BenchVerifyWidths},
 	{"interp_exec", BenchInterpExec},
-	{"interp_compiled", BenchInterpCompiled},
 	{"interp_batch", BenchInterpBatch},
 	{"wasm_decode", BenchWasmDecode},
 	{"wasm_lift", BenchWasmLift},
@@ -644,7 +630,7 @@ var perfWorkloads = []struct {
 // returns the snapshot. Workload names map 1:1 onto the root-level
 // benchmarks (BenchmarkVerify, BenchmarkVerifyReference,
 // BenchmarkVerifyBatch, BenchmarkVerifyWidths, BenchmarkInterpExec,
-// BenchmarkInterpCompiled, BenchmarkInterpBatch and the opt dispatch pair),
+// BenchmarkInterpBatch and the opt dispatch pair),
 // which delegate to the same Bench* functions.
 func RunPerfSnapshot() *PerfSnapshot {
 	snap := &PerfSnapshot{Schema: PerfSchema, GoMaxProcs: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
@@ -678,7 +664,7 @@ func RunPerfSnapshot() *PerfSnapshot {
 // measureBatchCoverage self-verifies a fixed slice of the generated corpus
 // — the shapes a real extraction produces, including branches, memory
 // access and vectors — and records how the executed input vectors split
-// between the lane-batched path and the per-vector fallback. The sweep is
+// between the lane-batched path and the reference interpreter. The sweep is
 // deterministic for the fixed seed; ComparePerf fails CI when the batched
 // share drops below minBatchCoverage.
 func measureBatchCoverage() PerfBatchCoverage {

@@ -135,7 +135,9 @@ func RunFigure5(iters int) (*SpecReport, error) {
 			Args:     []interp.RVal{interp.Scalar(ir.I64, uint64(iters))},
 			MaxSteps: 1 << 24,
 		}
-		r := interp.NewEvaluator(interp.Compile(f)).Run(env)
+		out := make([]interp.Result, 1)
+		interp.NewEvaluator(interp.Compile(f)).RunBatch([]interp.Env{env}, out)
+		r := out[0]
 		if r.UB || !r.Completed {
 			return 0, 0, fmt.Errorf("program failed: ub=%v reason=%s", r.UB, r.UBReason)
 		}

@@ -9,9 +9,10 @@ import (
 
 var raceEnabled bool
 
-// TestEvaluatorSteadyStateAllocs pins the compile-once contract: running a
-// compiled straight-line window allocates nothing once the evaluator is
-// warm.
+// TestEvaluatorSteadyStateAllocs pins the compile-once contract on the
+// streaming entry point the verifier uses: refilling the argument columns
+// and running a full batch of a compiled straight-line window allocates
+// nothing once the evaluator is warm.
 func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by the race runtime")
@@ -24,12 +25,20 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
   ret i8 %5
 }`)
 	ev := NewEvaluator(Compile(f))
-	env := Env{Args: []RVal{Scalar(ir.I32, 1234)}}
-	ev.Run(env)
-	allocs := testing.AllocsPerRun(200, func() {
-		ev.Run(env)
-	})
+	col := ev.ArgColumn(0)
+	out := make([]Result, BatchWidth)
+	run := func() {
+		for b := range col {
+			col[b] = Word{V: uint64(b*97) & ir.MaskW(32)}
+		}
+		ev.RunBatchFilled(BatchWidth, out, nil)
+	}
+	run()
+	allocs := testing.AllocsPerRun(200, run)
 	if allocs != 0 {
-		t.Fatalf("steady-state Run allocates %.1f times per execution, want 0", allocs)
+		t.Fatalf("steady-state RunBatchFilled allocates %.1f times per batch, want 0", allocs)
+	}
+	if !out[0].Completed || out[0].UB {
+		t.Fatalf("unexpected result %+v", out[0])
 	}
 }

@@ -1,36 +1,34 @@
 package interp
 
-// Lane-batched execution: RunBatch streams many input vectors through one
-// compiled Program, executing each instruction across the whole batch before
-// moving to the next. The batch dimension is laid out structure-of-arrays in
-// a dedicated register arena (for the dominant scalar registers every
-// instruction's operands and results are contiguous runs of BatchWidth
-// words), so the per-instruction dispatch that dominates Evaluator.Run is
-// paid once per batch instead of once per vector. Undefined behaviour,
-// poison, return values and step accounting are tracked per lane (= per
-// input vector) and are bit-identical to running Evaluator.Run on each
-// vector in isolation — guarded by the randomized differential tests in
-// batch_test.go.
+// Lane-batched execution, the only way a compiled Program runs: RunBatch
+// streams many input vectors through one Program, executing each
+// instruction across the whole batch before moving to the next. The batch
+// dimension is laid out structure-of-arrays in the evaluator's register
+// arena (for the dominant scalar registers every instruction's operands and
+// results are contiguous runs of BatchWidth words), so the per-instruction
+// dispatch is paid once per batch instead of once per vector. Undefined
+// behaviour, poison, return values and step accounting are tracked per lane
+// (= per input vector) and are bit-identical to running the reference
+// interpreter Exec on each vector in isolation — guarded by the randomized
+// differential tests in batch_test.go and by FuzzBatchMatchesExec.
 //
-// Two batched execution modes cover every register-machine-modeled program
-// (Program.Batchable):
+// Two execution modes cover every program:
 //
 //   - Straight-line programs — the shape of essentially every extracted
 //     peephole window — run runBatchCore: one pass over the code with no
 //     block dispatch at all.
-//   - Multi-block programs run runBatchBlocks, a masked scheduler: all
-//     active lanes step the current block together, lanes whose branches
-//     diverge are parked on a per-successor-block lane mask, and the
-//     scheduler resumes the lowest-numbered block with parked lanes —
-//     which reconverges both arms of a diamond before their join and
-//     re-runs loop bodies until every lane has exited. UB, poison, Ret and
-//     step accounting are tracked per lane throughout.
+//   - Everything else runs runBatchBlocks, a masked scheduler: all active
+//     lanes step the current block together, lanes whose branches diverge
+//     are parked on a per-successor-block lane mask, and the scheduler
+//     resumes the lowest-numbered block with parked lanes — which
+//     reconverges both arms of a diamond before their join and re-runs loop
+//     bodies until every lane has exited. UB, poison, Ret, step accounting
+//     and bound registers are tracked per lane throughout; the bound masks
+//     also serve vector constants with runtime elements, whose lanes are
+//     gathered per lane at each use.
 //
-// Memory-touching programs batch too: each lane carries its own Memory
-// (callers with many lanes back them with lane-strided BatchMems slabs).
-// Only dynamic-vector-constant programs — which the register machine
-// cannot model at all — still fall back to per-vector Run with cloned
-// return values, so RunBatch is safe to call on any program.
+// Memory-touching programs run with one Memory per lane (callers with many
+// lanes back them with lane-strided BatchMems slabs).
 
 import (
 	"fmt"
@@ -62,106 +60,13 @@ const (
 	bkFreeze
 )
 
-// Specialized batch kernels take each operand as a contiguous run of
-// BatchWidth words: register operands view the batch arena, constant
-// operands view a column prefilled with the broadcast constant — so the
+// specialized reports whether k has a dedicated batch kernel. Specialized
+// kernels take each operand as a contiguous run of BatchWidth words:
+// register operands view the batch arena, constant operands view a column
+// prefilled with the broadcast constant (Program.constCols) — so the
 // kernels' inner loops index plain slices with no per-element dispatch.
-
-// batchState is the Evaluator's lazily-built batch scratch: the
-// structure-of-arrays register arena plus per-lane liveness and budget
-// tracking. Built once per evaluator on the first RunBatch.
-type batchState struct {
-	words  []Word // register arena, BatchWidth vectors per register lane
-	kinds  []batchKind
-	bargs  [][][]Word // per code index: operand runs (specialized kinds)
-	bdst   [][]Word   // per code index: result run (specialized kinds)
-	alive  []bool     // per batch lane: still executing
-	mems   []*Memory  // per batch lane: memory (emptyMem when absent)
-	argBuf []RVal     // reusable per-vector operand views (generic kind)
-	sc     scratch
-
-	// Masked multi-block scheduler state (runBatchBlocks). Lane masks are
-	// uint64 bitsets, which BatchWidth = 64 fills exactly.
-	steps   []int    // per lane: dynamic instruction count so far
-	budget  []int    // per lane: step budget
-	prev    []int32  // per lane: predecessor block index (-1 at entry)
-	defs    []uint64 // per register: lanes holding a bound value
-	waiting []uint64 // per block: lanes parked on its entry
-}
-
-// batch returns the evaluator's batch state, building it on first use.
-func (ev *Evaluator) batch() *batchState {
-	if ev.bs != nil {
-		return ev.bs
-	}
-	p := ev.p
-	bs := &batchState{
-		words: make([]Word, p.arenaLen*BatchWidth),
-		kinds: make([]batchKind, len(p.code)),
-		bargs: make([][][]Word, len(p.code)),
-		bdst:  make([][]Word, len(p.code)),
-		alive: make([]bool, BatchWidth),
-		mems:  make([]*Memory, BatchWidth),
-	}
-	for b := range bs.mems {
-		bs.mems[b] = ev.emptyMem
-	}
-	if !p.straight {
-		bs.steps = make([]int, BatchWidth)
-		bs.budget = make([]int, BatchWidth)
-		bs.prev = make([]int32, BatchWidth)
-		bs.defs = make([]uint64, len(p.regLanes))
-		bs.waiting = make([]uint64, len(p.blocks))
-	}
-	maxArgs := 1
-	specialized := func(k batchKind) bool {
-		return k != bkGeneric && k != bkRet && k != bkUnreachable
-	}
-	totalOps := 0
-	for gi := range p.code {
-		ci := &p.code[gi]
-		if len(ci.args) > maxArgs {
-			maxArgs = len(ci.args)
-		}
-		bs.kinds[gi] = classifyBatch(p, ci)
-		if specialized(bs.kinds[gi]) {
-			totalOps += len(ci.args)
-		}
-	}
-	flat := make([][]Word, totalOps)
-	next := 0
-	constCols := make(map[int32][]Word)
-	for gi := range p.code {
-		if !specialized(bs.kinds[gi]) {
-			continue
-		}
-		ci := &p.code[gi]
-		views := flat[next : next+len(ci.args) : next+len(ci.args)]
-		next += len(ci.args)
-		for k, slot := range ci.args {
-			if slot >= 0 {
-				base := int(p.regOff[slot]) * BatchWidth
-				views[k] = bs.words[base : base+BatchWidth : base+BatchWidth]
-			} else {
-				col, ok := constCols[^slot]
-				if !ok {
-					col = make([]Word, BatchWidth)
-					w := p.consts[^slot].rv.Lanes[0]
-					for j := range col {
-						col[j] = w
-					}
-					constCols[^slot] = col
-				}
-				views[k] = col
-			}
-		}
-		bs.bargs[gi] = views
-		base := int(p.regOff[ci.dst]) * BatchWidth
-		bs.bdst[gi] = bs.words[base : base+BatchWidth : base+BatchWidth]
-	}
-	bs.argBuf = make([]RVal, maxArgs)
-	ev.bs = bs
-	return bs
+func (k batchKind) specialized() bool {
+	return k != bkGeneric && k != bkRet && k != bkUnreachable
 }
 
 // classifyBatch picks the batch kernel for one compiled instruction.
@@ -183,7 +88,7 @@ func classifyBatch(p *Program, ci *cinstr) batchKind {
 			if p.regLanes[slot] != 1 {
 				return bkGeneric
 			}
-		} else if e := &p.consts[^slot]; e.ub || len(e.rv.Lanes) != 1 {
+		} else if e := &p.consts[^slot]; e.guarded() || len(e.rv.Lanes) != 1 {
 			return bkGeneric
 		}
 	}
@@ -210,23 +115,12 @@ func classifyBatch(p *Program, ci *cinstr) batchKind {
 // RunBatch executes the program on every environment and writes one Result
 // per input into out (which must be at least as long as envs). Semantics per
 // vector — values, poison lanes, UB reasons, step accounting — are
-// bit-identical to calling Run on each environment in order. Returned Ret
+// bit-identical to calling Exec on each environment in order. Returned Ret
 // values may alias the evaluator's batch scratch and are valid only until
-// the next RunBatch/Run; clone to retain them.
+// the next run; clone to retain them.
 func (ev *Evaluator) RunBatch(envs []Env, out []Result) {
 	if len(out) < len(envs) {
 		panic("interp: RunBatch needs len(out) >= len(envs)")
-	}
-	if !ev.p.Batchable() {
-		// Per-vector fallback: dynamic-vector-constant programs, which Run
-		// itself delegates to Exec. Rets are cloned because Run reuses its
-		// scratch across calls.
-		for i := range envs {
-			r := ev.Run(envs[i])
-			r.Ret = r.Ret.Clone()
-			out[i] = r
-		}
-		return
 	}
 	for base := 0; base < len(envs); base += BatchWidth {
 		hi := base + BatchWidth
@@ -237,53 +131,36 @@ func (ev *Evaluator) RunBatch(envs []Env, out []Result) {
 	}
 }
 
-// batchableErr names why the program cannot use the column-streaming entry
-// points, so callers see the fallback class instead of a bare panic.
-func (ev *Evaluator) batchableErr(what string) error {
-	return fmt.Errorf("interp: %s requires a batchable program: %s falls back to per-vector execution: %s",
-		what, ev.p.fn.Name, ev.p.BatchFallbackReason())
-}
-
 // ArgColumn returns the batch arena's input column for parameter i: vector
 // b's lanes occupy [b*L, (b+1)*L) of the returned run, the exact layout the
 // batch kernels read. Callers streaming many batches (the alive checker)
 // write inputs directly into the columns and execute with RunBatchFilled,
-// eliding the per-vector Env staging and scatter entirely. It fails for
-// non-Batchable programs, naming the fallback reason.
-func (ev *Evaluator) ArgColumn(i int) ([]Word, error) {
-	if !ev.p.Batchable() {
-		return nil, ev.batchableErr("ArgColumn")
-	}
-	bs := ev.batch()
+// eliding the per-vector Env staging and scatter entirely.
+func (ev *Evaluator) ArgColumn(i int) []Word {
 	r := ev.p.paramReg[i]
 	L := int(ev.p.regLanes[r])
 	base := int(ev.p.regOff[r]) * BatchWidth
-	return bs.words[base : base+L*BatchWidth : base+L*BatchWidth], nil
+	return ev.words[base : base+L*BatchWidth : base+L*BatchWidth]
 }
 
 // RunBatchFilled executes the first n batch lanes against inputs the caller
 // already wrote into the ArgColumn runs, with default step budgets. mems
 // optionally carries one memory per lane (nil entries and a nil slice mean
 // no memory, as for an Env without Mem). Results are written like RunBatch.
-// It fails for non-Batchable programs, naming the fallback reason; n must
-// be <= BatchWidth.
-func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) error {
-	if !ev.p.Batchable() {
-		return ev.batchableErr("RunBatchFilled")
-	}
+// n must be <= BatchWidth.
+func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) {
 	if n > BatchWidth || len(out) < n {
 		panic("interp: RunBatchFilled bounds")
 	}
-	bs := ev.batch()
 	for b := 0; b < n; b++ {
-		bs.alive[b] = true
+		ev.alive[b] = true
 	}
 	if ev.p.hasMem {
 		for b := 0; b < n; b++ {
 			if mems != nil && mems[b] != nil {
-				bs.mems[b] = mems[b]
+				ev.mems[b] = mems[b]
 			} else {
-				bs.mems[b] = ev.emptyMem
+				ev.mems[b] = ev.emptyMem
 			}
 		}
 	}
@@ -292,7 +169,6 @@ func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) error {
 	} else {
 		ev.runBatchBlocks(n, out, nil)
 	}
-	return nil
 }
 
 // runBatchChunk executes one chunk of at most BatchWidth environments on the
@@ -301,7 +177,6 @@ func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) error {
 // stay valid until the next RunBatch).
 func (ev *Evaluator) runBatchChunk(envs []Env, out []Result, cloneRets bool) {
 	p := ev.p
-	bs := ev.batch()
 	B := len(envs)
 	live := 0
 	minMax := defaultMaxSteps
@@ -310,27 +185,26 @@ func (ev *Evaluator) runBatchChunk(envs []Env, out []Result, cloneRets bool) {
 			out[b] = Result{UB: true, Completed: true,
 				UBReason: fmt.Sprintf("argument count mismatch: have %d, want %d",
 					len(envs[b].Args), len(p.fn.Params))}
-			bs.alive[b] = false
+			ev.alive[b] = false
 			continue
 		}
 		if ms := envs[b].MaxSteps; ms != 0 && ms < minMax {
 			minMax = ms
 		}
-		bs.alive[b] = true
+		ev.alive[b] = true
 		live++
 	}
 
-	// Scatter the arguments into the batch arena, zero-padding short lanes
-	// exactly like Run. Scalar parameters (the dominant case) take the
-	// direct-store path.
+	// Scatter the arguments into the batch arena, zero-padding short lanes.
+	// Scalar parameters (the dominant case) take the direct-store path.
 	allAlive := live == B
 	for i, r := range p.paramReg {
 		L := int(p.regLanes[r])
 		base := int(p.regOff[r]) * BatchWidth
 		if L == 1 {
-			run := bs.words[base : base+B : base+B]
+			run := ev.words[base : base+B : base+B]
 			for b := 0; b < B; b++ {
-				if !allAlive && !bs.alive[b] {
+				if !allAlive && !ev.alive[b] {
 					continue
 				}
 				if lanes := envs[b].Args[i].Lanes; len(lanes) > 0 {
@@ -342,10 +216,10 @@ func (ev *Evaluator) runBatchChunk(envs []Env, out []Result, cloneRets bool) {
 			continue
 		}
 		for b := 0; b < B; b++ {
-			if !allAlive && !bs.alive[b] {
+			if !allAlive && !ev.alive[b] {
 				continue
 			}
-			dst := bs.words[base+b*L : base+(b+1)*L : base+(b+1)*L]
+			dst := ev.words[base+b*L : base+(b+1)*L : base+(b+1)*L]
 			n := copy(dst, envs[b].Args[i].Lanes)
 			for ; n < len(dst); n++ {
 				dst[n] = Word{}
@@ -356,9 +230,9 @@ func (ev *Evaluator) runBatchChunk(envs []Env, out []Result, cloneRets bool) {
 	if p.hasMem {
 		for b := 0; b < B; b++ {
 			if m := envs[b].Mem; m != nil {
-				bs.mems[b] = m
+				ev.mems[b] = m
 			} else {
-				bs.mems[b] = ev.emptyMem
+				ev.mems[b] = ev.emptyMem
 			}
 		}
 	}
@@ -375,11 +249,10 @@ func (ev *Evaluator) runBatchChunk(envs []Env, out []Result, cloneRets bool) {
 }
 
 // runBatchCore is the shared execution loop: arguments are already in the
-// batch arena and bs.alive/live describe the runnable lanes. envs is only
+// batch arena and ev.alive/live describe the runnable lanes. envs is only
 // consulted for per-lane step budgets and may be nil (default budgets).
 func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live int) {
 	p := ev.p
-	bs := ev.bs
 
 	// kill retires lane b with UB. Lanes retire at most once, and every
 	// retirement writes the full Result, so out needs no up-front zeroing.
@@ -388,7 +261,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 	step := 0
 	kill := func(b int, why string) {
 		out[b] = Result{UB: true, UBReason: why, Completed: true, DynInstrs: step}
-		bs.alive[b] = false
+		ev.alive[b] = false
 		live--
 	}
 
@@ -397,7 +270,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 		step = gi + 1
 		if step > minMax {
 			for b := 0; b < B; b++ {
-				if !bs.alive[b] {
+				if !ev.alive[b] {
 					continue
 				}
 				ms := defaultMaxSteps
@@ -406,7 +279,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 				}
 				if step > ms {
 					out[b] = Result{Completed: false, DynInstrs: step}
-					bs.alive[b] = false
+					ev.alive[b] = false
 					live--
 				}
 			}
@@ -414,20 +287,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 				break
 			}
 		}
-		// In straight-line programs runtime checks only guard constants
-		// that failed to materialize, so a triggered check is uniform
-		// across the batch.
-		if len(ci.checks) > 0 {
-			if ub, why := batchConstUB(p, ci); ub {
-				for b := 0; b < B; b++ {
-					if bs.alive[b] {
-						kill(b, why)
-					}
-				}
-				break
-			}
-		}
-		switch bs.kinds[gi] {
+		switch p.kinds[gi] {
 		case bkRet:
 			hasRet := len(ci.in.Args) == 1
 			var retTy ir.Type
@@ -444,7 +304,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 				}
 			}
 			for b := 0; b < B; b++ {
-				if !bs.alive[b] {
+				if !ev.alive[b] {
 					continue
 				}
 				// Lane b's ret view is the same arena slice on every call,
@@ -462,7 +322,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 				if hasRet {
 					if slot >= 0 {
 						lo := retBase + int32(b)*retL
-						lanes := bs.words[lo : lo+retL : lo+retL]
+						lanes := ev.words[lo : lo+retL : lo+retL]
 						// A matching lane pointer can only come from this
 						// same ret view (registers never share arena
 						// offsets), so the Ty is already right too — no
@@ -477,40 +337,40 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 				} else if r.Ret.Lanes != nil || r.Ret.Ty != nil {
 					r.Ret = RVal{}
 				}
-				bs.alive[b] = false
+				ev.alive[b] = false
 			}
 			live = 0
 		case bkUnreachable:
 			for b := 0; b < B; b++ {
-				if bs.alive[b] {
+				if ev.alive[b] {
 					kill(b, "reached unreachable")
 				}
 			}
 		case bkIntBin:
-			batchIntBin(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B, kill)
+			batchIntBin(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B, kill)
 		case bkICmp:
-			batchICmp(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
+			batchICmp(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
 		case bkSelect:
-			batchSelect(bs.bdst[gi], bs.bargs[gi], bs.alive, B)
+			batchSelect(ev.bdst[gi], ev.bargs[gi], ev.alive, B)
 		case bkConvInt:
-			batchConvInt(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
+			batchConvInt(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
 		case bkMinMax:
-			batchMinMax(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
+			batchMinMax(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
 		case bkFreeze:
-			batchFreeze(bs.bdst[gi], bs.bargs[gi], bs.alive, B)
+			batchFreeze(ev.bdst[gi], ev.bargs[gi], ev.alive, B)
 		default: // bkGeneric: shared evalOp kernels, one vector at a time.
 			na := len(ci.args)
 			for b := 0; b < B; b++ {
-				if !bs.alive[b] {
+				if !ev.alive[b] {
 					continue
 				}
-				args := bs.argBuf[:na]
+				args := ev.argBuf[:na]
 				for k, slot := range ci.args {
 					if slot >= 0 {
 						L := int(p.regLanes[slot])
 						base := int(p.regOff[slot]) * BatchWidth
 						args[k] = RVal{Ty: ci.in.Args[k].Type(),
-							Lanes: bs.words[base+b*L : base+(b+1)*L : base+(b+1)*L]}
+							Lanes: ev.words[base+b*L : base+(b+1)*L : base+(b+1)*L]}
 					} else {
 						args[k] = p.consts[^slot].rv
 					}
@@ -519,13 +379,13 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 				if ci.dst >= 0 {
 					L := int(p.regLanes[ci.dst])
 					base := int(p.regOff[ci.dst]) * BatchWidth
-					dst = bs.words[base+b*L : base+(b+1)*L : base+(b+1)*L]
+					dst = ev.words[base+b*L : base+(b+1)*L : base+(b+1)*L]
 				}
 				mem := ev.emptyMem
 				if p.hasMem {
-					mem = bs.mems[b]
+					mem = ev.mems[b]
 				}
-				if ub, why := evalOp(ci.in, dst, args, mem, &bs.sc); ub {
+				if ub, why := evalOp(ci.in, dst, args, mem, &ev.sc); ub {
 					kill(b, why)
 				}
 			}
@@ -534,7 +394,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 	if live > 0 {
 		step = len(p.code)
 		for b := 0; b < B; b++ {
-			if bs.alive[b] {
+			if ev.alive[b] {
 				kill(b, "block fell through without terminator")
 			}
 		}
@@ -542,7 +402,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 }
 
 // runBatchBlocks is the masked multi-block scheduler: arguments are already
-// in the batch arena and bs.alive marks the runnable lanes. All lanes of a
+// in the batch arena and ev.alive marks the runnable lanes. All lanes of a
 // wave step the current block's instructions together; a lane leaves the
 // wave by returning, dying (UB, budget), or branching — branches park the
 // lane on its successor's waiting mask. The scheduler then resumes the
@@ -551,48 +411,47 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 // edges re-run loop bodies until every lane has exited. Per-lane step
 // counts, budgets, defined-register masks and predecessor blocks keep the
 // semantics — including UB reasons and DynInstrs — bit-identical to running
-// Run per vector. envs is only consulted for per-lane step budgets and may
+// Exec per vector. envs is only consulted for per-lane step budgets and may
 // be nil (default budgets).
 func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 	p := ev.p
-	bs := ev.bs
 
 	var entry uint64
 	for b := 0; b < B; b++ {
-		bs.steps[b] = 0
-		bs.prev[b] = -1
-		bs.budget[b] = defaultMaxSteps
+		ev.steps[b] = 0
+		ev.prev[b] = p.entryKey
+		ev.budget[b] = defaultMaxSteps
 		if envs != nil && envs[b].MaxSteps != 0 {
-			bs.budget[b] = envs[b].MaxSteps
+			ev.budget[b] = envs[b].MaxSteps
 		}
-		if bs.alive[b] {
+		if ev.alive[b] {
 			entry |= 1 << uint(b)
 		}
 	}
-	defs := bs.defs
+	defs := ev.defs
 	for i := range defs {
 		defs[i] = 0
 	}
 	for _, r := range p.paramReg {
 		defs[r] = entry
 	}
-	waiting := bs.waiting
+	waiting := ev.waiting
 	for i := range waiting {
 		waiting[i] = 0
 	}
 	waiting[0] = entry
-	steps, budget, prev := bs.steps, bs.budget, bs.prev
+	steps, budget, prev := ev.steps, ev.budget, ev.prev
 
 	// wave is the lane mask currently executing; kill retires one lane of
 	// it with UB at its own step count.
 	var wave uint64
 	kill := func(b int, why string) {
 		out[b] = Result{UB: true, UBReason: why, Completed: true, DynInstrs: steps[b]}
-		bs.alive[b] = false
+		ev.alive[b] = false
 		wave &^= 1 << uint(b)
 	}
 	// checkLanes applies one instruction's runtime guards lane by lane, in
-	// operand order, mirroring Evaluator.checkArgs.
+	// operand order, mirroring state.operand.
 	checkLanes := func(ci *cinstr) {
 		for _, k := range ci.checks {
 			if wave == 0 {
@@ -603,9 +462,12 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 				for m := wave &^ defs[slot]; m != 0; m &= m - 1 {
 					kill(bits.TrailingZeros64(m), "use of unbound value "+ci.in.Args[k].Ident())
 				}
-			} else if e := &p.consts[^slot]; e.ub {
+			} else if e := &p.consts[^slot]; e.guarded() {
 				for m := wave; m != 0; m &= m - 1 {
-					kill(bits.TrailingZeros64(m), e.why)
+					b := bits.TrailingZeros64(m)
+					if why := ev.constUB(e, b); why != "" {
+						kill(b, why)
+					}
 				}
 			}
 		}
@@ -614,7 +476,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 	laneView := func(r int32, b int) []Word {
 		L := int(p.regLanes[r])
 		base := int(p.regOff[r])*BatchWidth + b*L
-		return bs.words[base : base+L : base+L]
+		return ev.words[base : base+L : base+L]
 	}
 
 	for {
@@ -631,7 +493,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 		wave = waiting[bi]
 		waiting[bi] = 0
 		for m := wave; m != 0; m &= m - 1 {
-			bs.alive[bits.TrailingZeros64(m)] = true
+			ev.alive[bits.TrailingZeros64(m)] = true
 		}
 		blk := &p.blocks[bi]
 		for gi := blk.start; gi < blk.end && wave != 0; gi++ {
@@ -641,7 +503,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 				steps[b]++
 				if steps[b] > budget[b] {
 					out[b] = Result{Completed: false, DynInstrs: steps[b]}
-					bs.alive[b] = false
+					ev.alive[b] = false
 					wave &^= 1 << uint(b)
 				}
 			}
@@ -661,21 +523,21 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 							b := bits.TrailingZeros64(m)
 							out[b] = Result{Completed: true, DynInstrs: steps[b],
 								Ret: RVal{Ty: retTy, Lanes: laneView(slot, b)}}
-							bs.alive[b] = false
+							ev.alive[b] = false
 						}
 					} else {
-						rv := p.consts[^slot].rv
 						for m := wave; m != 0; m &= m - 1 {
 							b := bits.TrailingZeros64(m)
-							out[b] = Result{Completed: true, DynInstrs: steps[b], Ret: rv}
-							bs.alive[b] = false
+							out[b] = Result{Completed: true, DynInstrs: steps[b],
+								Ret: RVal{Ty: retTy, Lanes: ev.constLanes(slot, b)}}
+							ev.alive[b] = false
 						}
 					}
 				} else {
 					for m := wave; m != 0; m &= m - 1 {
 						b := bits.TrailingZeros64(m)
 						out[b] = Result{Completed: true, DynInstrs: steps[b]}
-						bs.alive[b] = false
+						ev.alive[b] = false
 					}
 				}
 				wave = 0
@@ -690,8 +552,8 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 						waiting[succ] |= wave
 						for m := wave; m != 0; m &= m - 1 {
 							b := bits.TrailingZeros64(m)
-							prev[b] = int32(bi)
-							bs.alive[b] = false
+							prev[b] = blk.key
+							ev.alive[b] = false
 						}
 						wave = 0
 					}
@@ -705,7 +567,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 					if slot >= 0 {
 						c = laneView(slot, b)[0]
 					} else {
-						c = p.consts[^slot].rv.Lanes[0]
+						c = ev.constLanes(slot, b)[0]
 					}
 					if c.Poison {
 						kill(b, "branch on poison")
@@ -719,8 +581,8 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 						kill(b, "branch to unknown block "+ci.in.Labels[k])
 					} else {
 						waiting[succ] |= 1 << uint(b)
-						prev[b] = int32(bi)
-						bs.alive[b] = false
+						prev[b] = blk.key
+						ev.alive[b] = false
 						wave &^= 1 << uint(b)
 					}
 				}
@@ -756,11 +618,14 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 						src = laneView(slot, b)
 					} else {
 						e := &p.consts[^slot]
-						if e.ub {
-							kill(b, e.why)
+						if !e.guarded() {
+							src = e.rv.Lanes
+						} else if why := ev.constUB(e, b); why != "" {
+							kill(b, why)
 							continue
+						} else {
+							src = ev.constLanes(slot, b)
 						}
-						src = e.rv.Lanes
 					}
 					if ci.dst >= 0 {
 						dst := laneView(ci.dst, b)
@@ -776,29 +641,31 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 				if wave == 0 {
 					break
 				}
-				switch bs.kinds[gi] {
+				switch p.kinds[gi] {
 				case bkIntBin:
-					batchIntBin(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B, kill)
+					batchIntBin(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B, kill)
 				case bkICmp:
-					batchICmp(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
+					batchICmp(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
 				case bkSelect:
-					batchSelect(bs.bdst[gi], bs.bargs[gi], bs.alive, B)
+					batchSelect(ev.bdst[gi], ev.bargs[gi], ev.alive, B)
 				case bkConvInt:
-					batchConvInt(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
+					batchConvInt(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
 				case bkMinMax:
-					batchMinMax(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
+					batchMinMax(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
 				case bkFreeze:
-					batchFreeze(bs.bdst[gi], bs.bargs[gi], bs.alive, B)
+					batchFreeze(ev.bdst[gi], ev.bargs[gi], ev.alive, B)
 				default: // bkGeneric: shared evalOp kernels, one lane at a time.
 					na := len(ci.args)
 					for m := wave; m != 0; m &= m - 1 {
 						b := bits.TrailingZeros64(m)
-						args := bs.argBuf[:na]
+						args := ev.argBuf[:na]
 						for k, slot := range ci.args {
 							if slot >= 0 {
 								args[k] = RVal{Ty: ci.in.Args[k].Type(), Lanes: laneView(slot, b)}
+							} else if e := &p.consts[^slot]; e.dyn != nil {
+								args[k] = RVal{Ty: ci.in.Args[k].Type(), Lanes: ev.constLanes(slot, b)}
 							} else {
-								args[k] = p.consts[^slot].rv
+								args[k] = e.rv
 							}
 						}
 						var dst []Word
@@ -807,9 +674,9 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 						}
 						mem := ev.emptyMem
 						if p.hasMem {
-							mem = bs.mems[b]
+							mem = ev.mems[b]
 						}
-						if ub, why := evalOp(ci.in, dst, args, mem, &bs.sc); ub {
+						if ub, why := evalOp(ci.in, dst, args, mem, &ev.sc); ub {
 							kill(b, why)
 						}
 					}
@@ -826,18 +693,42 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 	}
 }
 
-// batchConstUB reproduces checkArgs for straight-line programs, where every
-// guarded operand is a constant-pool entry (an unbound-register guard would
-// have cleared the straight flag at compile time).
-func batchConstUB(p *Program, ci *cinstr) (bool, string) {
-	for _, k := range ci.checks {
-		if slot := ci.args[k]; slot < 0 {
-			if e := &p.consts[^slot]; e.ub {
-				return true, e.why
+// constUB returns why batch lane b cannot materialize constant e, or "": the
+// first of a dynamic constant's register reads that is unbound in lane b,
+// then any static failure. Only the masked scheduler runs guarded operands.
+func (ev *Evaluator) constUB(e *constEntry, b int) string {
+	if e.dyn != nil {
+		for _, u := range e.dyn.uses {
+			if ev.defs[u.reg]&(1<<uint(b)) == 0 {
+				return u.why
 			}
 		}
 	}
-	return false, ""
+	if e.ub {
+		return e.why
+	}
+	return ""
+}
+
+// constLanes returns batch lane b's value of constant operand slot. A
+// dynamic constant's elements are gathered from lane b's registers into
+// lane b's own run of its buffer, so the result stays valid, like a
+// register view, until the next run.
+func (ev *Evaluator) constLanes(slot int32, b int) []Word {
+	e := &ev.p.consts[^slot]
+	if e.dyn == nil {
+		return e.rv.Lanes
+	}
+	n := len(e.dyn.elems)
+	buf := ev.dynBuf[^slot][b*n : (b+1)*n : (b+1)*n]
+	for i, el := range e.dyn.elems {
+		if el.reg >= 0 {
+			buf[i] = ev.words[int(ev.p.regOff[el.reg])*BatchWidth+b*int(ev.p.regLanes[el.reg])]
+		} else {
+			buf[i] = el.w
+		}
+	}
+	return buf
 }
 
 // The batch kernels below mirror the shared per-opcode kernels element for

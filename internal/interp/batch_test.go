@@ -26,7 +26,7 @@ func sameResult(a, b Result) string {
 
 // batchEnvs builds one fresh environment per vector, with independent
 // memories for pointer parameters (filled deterministically per vector so
-// the per-vector fallback still sees distinct states).
+// every lane sees a distinct state).
 func batchEnvs(f *ir.Func, vectors [][]RVal, maxSteps int) []Env {
 	envs := make([]Env, len(vectors))
 	for vi, args := range vectors {
@@ -52,17 +52,21 @@ func batchEnvs(f *ir.Func, vectors [][]RVal, maxSteps int) []Env {
 }
 
 // TestRunBatchMatchesRunOnDiffCases drives every construct case — including
-// the multi-block, memory and vector cases that take the per-vector
-// fallback — through RunBatch and requires bit-identical results to Exec on
-// fresh environments. More vectors than BatchWidth are used so chunking and
-// the cross-chunk Ret cloning are exercised.
+// the multi-block, memory, vector and dynamic-vector-constant cases —
+// through RunBatch and requires bit-identical results to Exec on fresh
+// environments. More vectors than BatchWidth are used so chunking and the
+// cross-chunk Ret cloning are exercised. Each case runs on a fresh
+// evaluator and on one shared evaluator reloaded from case to case, so
+// scratch reused across programs of every shape must not leak state.
 func TestRunBatchMatchesRunOnDiffCases(t *testing.T) {
+	shared := NewEvaluator(Compile(parser.MustParseFunc(diffCases[len(diffCases)-1].src)))
 	for _, tc := range diffCases {
 		f, err := parser.ParseFunc(tc.src)
 		if err != nil {
 			t.Fatalf("%s: parse: %v", tc.name, err)
 		}
-		ev := NewEvaluator(Compile(f))
+		p := Compile(f)
+		shared.Load(p)
 		rng := rand.New(rand.NewSource(41))
 		var vectors [][]RVal
 		for k := 0; k < BatchWidth+17; k++ {
@@ -72,13 +76,15 @@ func TestRunBatchMatchesRunOnDiffCases(t *testing.T) {
 			}
 			vectors = append(vectors, diffArgs(f, rng, mask))
 		}
-		out := make([]Result, len(vectors))
-		ev.RunBatch(batchEnvs(f, vectors, 0), out)
-		ref := batchEnvs(f, vectors, 0)
-		for i := range vectors {
-			want := Exec(f, ref[i])
-			if diff := sameResult(want, out[i]); diff != "" {
-				t.Fatalf("%s vector %d: %s", tc.name, i, diff)
+		for _, ev := range []*Evaluator{NewEvaluator(p), shared} {
+			out := make([]Result, len(vectors))
+			ev.RunBatch(batchEnvs(f, vectors, 0), out)
+			ref := batchEnvs(f, vectors, 0)
+			for i := range vectors {
+				want := Exec(f, ref[i])
+				if diff := sameResult(want, out[i]); diff != "" {
+					t.Fatalf("%s vector %d (shared %v): %s", tc.name, i, ev == shared, diff)
+				}
 			}
 		}
 	}
@@ -234,11 +240,11 @@ func fuzzVector(f *ir.Func, rng *rand.Rand) []RVal {
 	return args
 }
 
-// TestRunBatchFuzzStraightLine is the randomized three-way differential of
-// the tentpole: generated straight-line functions execute through the
-// reference tree-walker, the scalar evaluator and the lane-batched
-// executor, and every vector's values, poison lanes, UB reason and step
-// count must agree bit for bit. The seed is fixed so failures reproduce.
+// TestRunBatchFuzzStraightLine is the randomized differential of the
+// straight-line path: generated straight-line functions execute through the
+// reference tree-walker and the lane-batched executor, and every vector's
+// values, poison lanes, UB reason and step count must agree bit for bit.
+// The seed is fixed so failures reproduce.
 func TestRunBatchFuzzStraightLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260726))
 	nFuncs := 150
@@ -252,10 +258,9 @@ func TestRunBatchFuzzStraightLine(t *testing.T) {
 			t.Fatalf("func %d: generated IR does not parse: %v\n%s", fi, err, src)
 		}
 		p := Compile(f)
-		if !p.Batchable() {
-			t.Fatalf("func %d: generated function should be batchable\n%s", fi, src)
+		if !p.straight {
+			t.Fatalf("func %d: generated function should take the straight-line path\n%s", fi, src)
 		}
-		ev := NewEvaluator(p)
 		evBatch := NewEvaluator(p)
 		var vectors [][]RVal
 		for k := 0; k < BatchWidth+9; k++ {
@@ -268,10 +273,6 @@ func TestRunBatchFuzzStraightLine(t *testing.T) {
 			want := Exec(f, env)
 			if diff := sameResult(want, out[i]); diff != "" {
 				t.Fatalf("func %d vector %d: batch vs Exec: %s\n%s", fi, i, diff, src)
-			}
-			got := ev.Run(env)
-			if diff := sameResult(want, got); diff != "" {
-				t.Fatalf("func %d vector %d: Run vs Exec: %s\n%s", fi, i, diff, src)
 			}
 		}
 	}
@@ -437,11 +438,11 @@ func genMemory(rng *rand.Rand) string {
 	return sb.String()
 }
 
-// TestRunBatchFuzzMultiBlock is the randomized three-way differential of
-// the masked multi-block scheduler: generated branchy functions (diamonds,
-// loops, cross-block unbound uses) execute through Exec, Run and RunBatch
-// with mixed per-lane step budgets, and every vector's values, poison, UB
-// reason and per-lane DynInstrs must agree bit for bit.
+// TestRunBatchFuzzMultiBlock is the randomized differential of the masked
+// multi-block scheduler: generated branchy functions (diamonds, loops,
+// cross-block unbound uses) execute through Exec and RunBatch with mixed
+// per-lane step budgets, and every vector's values, poison, UB reason and
+// per-lane DynInstrs must agree bit for bit.
 func TestRunBatchFuzzMultiBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	nFuncs := 150
@@ -454,12 +455,7 @@ func TestRunBatchFuzzMultiBlock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("func %d: generated IR does not parse: %v\n%s", fi, err, src)
 		}
-		p := Compile(f)
-		if !p.Batchable() {
-			t.Fatalf("func %d: multi-block function should be batchable\n%s", fi, src)
-		}
-		ev := NewEvaluator(p)
-		evBatch := NewEvaluator(p)
+		evBatch := NewEvaluator(Compile(f))
 		var vectors [][]RVal
 		for k := 0; k < BatchWidth+9; k++ {
 			vectors = append(vectors, fuzzVector(f, rng))
@@ -474,7 +470,6 @@ func TestRunBatchFuzzMultiBlock(t *testing.T) {
 		}
 		envs := budget(batchEnvs(f, vectors, 0))
 		refEnvs := budget(batchEnvs(f, vectors, 0))
-		runEnvs := budget(batchEnvs(f, vectors, 0))
 		out := make([]Result, len(envs))
 		evBatch.RunBatch(envs, out)
 		for i := range envs {
@@ -482,17 +477,14 @@ func TestRunBatchFuzzMultiBlock(t *testing.T) {
 			if diff := sameResult(want, out[i]); diff != "" {
 				t.Fatalf("func %d vector %d: batch vs Exec: %s\n%s", fi, i, diff, src)
 			}
-			if diff := sameResult(want, ev.Run(runEnvs[i])); diff != "" {
-				t.Fatalf("func %d vector %d: Run vs Exec: %s\n%s", fi, i, diff, src)
-			}
 		}
 	}
 }
 
-// TestRunBatchFuzzMemory is the randomized three-way differential of
-// per-lane batch memories: generated load/store/GEP functions execute
-// through Exec, Run and RunBatch on per-vector memories, and every
-// vector's results and final memory (data and poison shadows) must agree.
+// TestRunBatchFuzzMemory is the randomized differential of per-lane batch
+// memories: generated load/store/GEP functions execute through Exec and
+// RunBatch on per-vector memories, and every vector's results and final
+// memory (data and poison shadows) must agree.
 func TestRunBatchFuzzMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	nFuncs := 120
@@ -505,19 +497,13 @@ func TestRunBatchFuzzMemory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("func %d: generated IR does not parse: %v\n%s", fi, err, src)
 		}
-		p := Compile(f)
-		if !p.Batchable() {
-			t.Fatalf("func %d: memory function should be batchable\n%s", fi, src)
-		}
-		ev := NewEvaluator(p)
-		evBatch := NewEvaluator(p)
+		evBatch := NewEvaluator(Compile(f))
 		var vectors [][]RVal
 		for k := 0; k < BatchWidth+9; k++ {
 			vectors = append(vectors, fuzzVector(f, rng))
 		}
 		envs := batchEnvs(f, vectors, 0)
 		refEnvs := batchEnvs(f, vectors, 0)
-		runEnvs := batchEnvs(f, vectors, 0)
 		out := make([]Result, len(envs))
 		evBatch.RunBatch(envs, out)
 		for i := range envs {
@@ -525,14 +511,8 @@ func TestRunBatchFuzzMemory(t *testing.T) {
 			if diff := sameResult(want, out[i]); diff != "" {
 				t.Fatalf("func %d vector %d: batch vs Exec: %s\n%s", fi, i, diff, src)
 			}
-			if diff := sameResult(want, ev.Run(runEnvs[i])); diff != "" {
-				t.Fatalf("func %d vector %d: Run vs Exec: %s\n%s", fi, i, diff, src)
-			}
 			if diff := sameMemory(refEnvs[i].Mem, envs[i].Mem); diff != "" {
 				t.Fatalf("func %d vector %d: batch final memory vs Exec: %s\n%s", fi, i, diff, src)
-			}
-			if diff := sameMemory(refEnvs[i].Mem, runEnvs[i].Mem); diff != "" {
-				t.Fatalf("func %d vector %d: Run final memory vs Exec: %s\n%s", fi, i, diff, src)
 			}
 		}
 	}
@@ -540,11 +520,16 @@ func TestRunBatchFuzzMemory(t *testing.T) {
 
 // TestRunBatchFilledMatchesRunBatch pins the zero-copy input path: writing
 // the argument columns directly and calling RunBatchFilled must equal
-// RunBatch over the same vectors.
+// RunBatch over the same vectors, on the straight-line path and under the
+// masked scheduler.
 func TestRunBatchFilledMatchesRunBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for fi := 0; fi < 25; fi++ {
-		f := parser.MustParseFunc(genStraightLine(rng))
+		gen := genStraightLine
+		if fi%2 == 1 {
+			gen = genMultiBlock
+		}
+		f := parser.MustParseFunc(gen(rng))
 		p := Compile(f)
 		evA, evB := NewEvaluator(p), NewEvaluator(p)
 		n := 1 + rng.Intn(BatchWidth)
@@ -556,19 +541,14 @@ func TestRunBatchFilledMatchesRunBatch(t *testing.T) {
 		outA := make([]Result, n)
 		evA.RunBatch(envs, outA)
 		for i, prm := range f.Params {
-			col, err := evB.ArgColumn(i)
-			if err != nil {
-				t.Fatalf("func %d: ArgColumn: %v", fi, err)
-			}
+			col := evB.ArgColumn(i)
 			L := ir.Lanes(prm.Ty)
 			for b := 0; b < n; b++ {
 				copy(col[b*L:(b+1)*L], vectors[b][i].Lanes)
 			}
 		}
 		outB := make([]Result, n)
-		if err := evB.RunBatchFilled(n, outB, nil); err != nil {
-			t.Fatalf("func %d: RunBatchFilled: %v", fi, err)
-		}
+		evB.RunBatchFilled(n, outB, nil)
 		for i := range outA {
 			if diff := sameResult(outA[i], outB[i]); diff != "" {
 				t.Fatalf("func %d vector %d: filled vs batch: %s", fi, i, diff)
@@ -579,7 +559,7 @@ func TestRunBatchFilledMatchesRunBatch(t *testing.T) {
 
 // TestRunBatchBudgetAndArgc covers the per-lane bookkeeping edges: mixed
 // step budgets within one batch and argument-count mismatches on individual
-// lanes, both matching per-vector Run exactly.
+// lanes, both matching per-vector Exec exactly.
 func TestRunBatchBudgetAndArgc(t *testing.T) {
 	f := parser.MustParseFunc(`define i8 @f(i8 %x) {
   %a = add i8 %x, 1
@@ -597,64 +577,38 @@ func TestRunBatchBudgetAndArgc(t *testing.T) {
 	}
 	out := make([]Result, len(envs))
 	ev.RunBatch(envs, out)
-	refEv := NewEvaluator(Compile(f))
 	for i, env := range envs {
-		want := refEv.Run(env)
-		want.Ret = want.Ret.Clone()
+		want := Exec(f, env)
 		if diff := sameResult(want, out[i]); diff != "" {
 			t.Fatalf("env %d: %s", i, diff)
 		}
 	}
 }
 
-// TestBatchableClassification pins which programs take the batched path:
-// since the masked scheduler and per-lane memories landed, multi-block and
-// memory-touching programs batch natively and only dynamic-vector-constant
-// programs fall back to per-vector execution.
-func TestBatchableClassification(t *testing.T) {
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{`define i8 @f(i8 %x) { %r = add i8 %x, 1 ret i8 %r }`, true},
-		{`define i16 @f(ptr %p) { %v = load i16, ptr %p ret i16 %v }`, true},
-		{`define i8 @f(i8 %x) {
-entry:
-  br label %next
-next:
-  ret i8 %x
-}`, true},
-		{`define <2 x i8> @f(i8 %x) {
-  %s = add <2 x i8> splat (i8 %x), splat (i8 1)
-  ret <2 x i8> %s
-}`, false},
-	}
-	for i, tc := range cases {
-		p := Compile(parser.MustParseFunc(tc.src))
-		if p.Batchable() != tc.want {
-			t.Fatalf("case %d: Batchable = %v, want %v", i, p.Batchable(), tc.want)
+// TestRunBatchUnmaterializableConstant covers constants the parser never
+// produces but the IR API can: vector constants naming a value of another
+// function. Exec reports the element as unbound when the operand is
+// reached, after any runtime element before it; RunBatch must agree.
+func TestRunBatchUnmaterializableConstant(t *testing.T) {
+	vec := ir.VecT(2, ir.I8)
+	foreign := &ir.Param{Nm: "y", Ty: ir.I8}
+	x := &ir.Param{Nm: "x", Ty: ir.I8}
+	v := &ir.Param{Nm: "v", Ty: vec}
+	for _, elems := range [][]ir.Value{
+		{ir.CInt(ir.I8, 3), foreign},
+		{x, foreign},
+	} {
+		add := ir.Bin(ir.OpAdd, "r", ir.NoFlags, v, &ir.ConstVec{Ty: vec, Elems: elems})
+		f := ir.NewFunc("f", vec, []*ir.Param{x, v}, []*ir.Instr{add, ir.RetI(add)})
+		envs := []Env{{Args: []RVal{Scalar(ir.I8, 5), VecOf(vec, 1, 2)}}}
+		out := make([]Result, 1)
+		NewEvaluator(Compile(f)).RunBatch(envs, out)
+		want := Exec(f, envs[0])
+		if !want.UB || want.UBReason != "use of unbound value %y" {
+			t.Fatalf("reference result changed: %+v", want)
 		}
-		if reason := p.BatchFallbackReason(); (reason != "") == tc.want {
-			t.Fatalf("case %d: BatchFallbackReason = %q, want empty=%v", i, reason, tc.want)
+		if diff := sameResult(want, out[0]); diff != "" {
+			t.Fatal(diff)
 		}
-	}
-}
-
-// TestArgColumnFallbackError pins that the column-streaming entry points
-// fail with an error naming the fallback reason instead of panicking.
-func TestArgColumnFallbackError(t *testing.T) {
-	f := parser.MustParseFunc(`define <2 x i8> @dyn(i8 %x) {
-  %s = add <2 x i8> splat (i8 %x), splat (i8 1)
-  ret <2 x i8> %s
-}`)
-	ev := NewEvaluator(Compile(f))
-	if _, err := ev.ArgColumn(0); err == nil ||
-		!strings.Contains(err.Error(), "dynamic vector constant") {
-		t.Fatalf("ArgColumn error = %v, want dynamic-vector reason", err)
-	}
-	out := make([]Result, 1)
-	if err := ev.RunBatchFilled(1, out, nil); err == nil ||
-		!strings.Contains(err.Error(), "dynamic vector constant") {
-		t.Fatalf("RunBatchFilled error = %v, want dynamic-vector reason", err)
 	}
 }

@@ -3,14 +3,19 @@ package interp
 // Compile-once execution: Compile lowers a function into a Program — every
 // SSA value numbered into a dense register slot, constants materialized into
 // an immutable pool, block successors and phi edges resolved to indices —
-// and an Evaluator (evaluator.go) executes the Program over many input
-// vectors with reusable scratch storage, so a steady-state run performs no
-// per-input allocations. Semantics are bit-identical to Exec: both engines
-// call the same per-opcode kernels, and runtime-dependent errors (unbound
-// values, unknown branch targets, unsupported opcodes) are still raised at
-// the execution step that reaches them, never at compile time.
+// and an Evaluator (evaluator.go, batch.go) executes the Program over
+// batches of input vectors with reusable scratch storage, so a steady-state
+// run performs no per-input allocations. Semantics are bit-identical to
+// Exec: both engines call the same per-opcode kernels, and runtime-dependent
+// errors (unbound values, unknown branch targets, unsupported opcodes) are
+// still raised at the execution step that reaches them, never at compile
+// time. Vector constants whose elements are runtime values, such as
+// splat (i8 %x), compile to per-lane gathers with the same operand order
+// and UB reasons as the reference interpreter.
 
 import (
+	"slices"
+
 	"repro/internal/ir"
 )
 
@@ -29,60 +34,71 @@ type Program struct {
 	blocks []cblock
 
 	// straight marks the fast path: a single block with no phi and no br
-	// whose every operand is a parameter, a constant, or an earlier
-	// instruction of the block. Straight programs skip per-run defined-
-	// register bookkeeping and block dispatch entirely.
+	// whose every operand is a parameter, an earlier instruction of the
+	// block, or a constant that needs no runtime check. Straight programs
+	// skip runtime guards, per-run defined-register bookkeeping and block
+	// dispatch entirely.
 	straight bool
-
-	// fallback marks the rare constructs the register machine does not
-	// model (vector constants whose elements are runtime values, which the
-	// reference interpreter resolves dynamically); Evaluator.Run delegates
-	// such programs to Exec wholesale so semantics stay bit-identical.
-	// fallbackWhy names the offending construct for diagnostics.
-	fallback    bool
-	fallbackWhy string
 
 	// hasMem marks programs touching memory (load/store/gep). Batched
 	// executions of such programs carry one Memory per lane.
 	hasMem bool
+
+	// entryKey is what a phi sees as the predecessor before the first
+	// branch: Exec matches phi labels against the predecessor's name, which
+	// is "" on entry.
+	entryKey int32
+
+	// kinds holds each instruction's batch kernel, and constCols, per
+	// const-pool entry a specialized kernel reads, the constant broadcast
+	// across a batch. Both are read-only, so every evaluator of the program
+	// shares them.
+	kinds     []batchKind
+	constCols [][]Word
 }
-
-// Batchable reports whether RunBatch executes p on its lane-batched path.
-// Multi-block control flow runs under the masked block scheduler and
-// memory-touching programs run against per-lane memories, so the only
-// remaining fallback is a program the register machine cannot model at all
-// (dynamic vector constants, delegated wholesale to Exec). Non-batchable
-// programs still work through RunBatch — they fall back to per-vector
-// execution with identical semantics.
-func (p *Program) Batchable() bool { return !p.fallback }
-
-// BatchFallbackReason describes why the program is executed per-vector by
-// RunBatch, or "" for batchable programs. Historic fallback classes —
-// multi-block control flow and memory access — batch natively now; only
-// dynamic-vector-constant programs still bail.
-func (p *Program) BatchFallbackReason() string {
-	if !p.fallback {
-		return ""
-	}
-	return p.fallbackWhy
-}
-
-// Fn returns the compiled function.
-func (p *Program) Fn() *ir.Func { return p.fn }
 
 type cblock struct {
 	name       string
 	start, end int32 // span in Program.code
+	key        int32 // nameKey of name: what a phi sees as this predecessor
 }
 
 // constEntry is one pre-materialized constant. Entries with ub set could not
-// be materialized (e.g. a vector constant referencing an unbound value); the
-// error is raised when an execution actually uses the operand, matching the
-// reference interpreter.
+// be materialized (e.g. a vector constant referencing a value of another
+// function); the error is raised when an execution actually uses the
+// operand, matching the reference interpreter. Entries with dyn set are
+// vector constants with runtime elements: each use gathers the lanes from
+// the executing lane's registers, after checking those registers are bound
+// (and then fails with why if ub is also set).
 type constEntry struct {
 	rv  RVal
 	ub  bool
 	why string
+	dyn *dynConst
+}
+
+// guarded reports whether a use of the entry needs a runtime check.
+func (e *constEntry) guarded() bool { return e.ub || e.dyn != nil }
+
+// dynConst is a vector constant whose elements are computed at run time.
+// uses lists its register reads in state.operand's evaluation order, each
+// with the reason a read of an unbound register reports; elems gives the
+// source of each result lane.
+type dynConst struct {
+	uses  []dynUse
+	elems []dynElem
+}
+
+type dynUse struct {
+	reg int32
+	why string
+}
+
+// dynElem is one lane of a dynamic constant: lane 0 of register reg when
+// reg >= 0, otherwise the literal w.
+type dynElem struct {
+	reg int32
+	w   Word
 }
 
 type cinstr struct {
@@ -102,9 +118,7 @@ type cinstr struct {
 	// (-1 when the label names no block).
 	succ [2]int32
 
-	// phiPred holds, per incoming phi edge, the index of the predecessor
-	// block the label names (-2 when the label names no block, so it can
-	// never match a real predecessor).
+	// phiPred holds, per incoming phi edge, the nameKey of its label.
 	phiPred []int32
 }
 
@@ -146,18 +160,24 @@ func Compile(fn *ir.Func) *Program {
 			blockIdx[b.Name] = int32(i)
 		}
 	}
+	// nameKey numbers block names so phis compare predecessors by name, as
+	// Exec does: the first block with the name, -1 for "" when no block has
+	// that name, and -2 (never a predecessor) for any other unknown label.
+	nameKey := func(name string) int32 {
+		if t, ok := blockIdx[name]; ok {
+			return t
+		}
+		if name == "" {
+			return -1
+		}
+		return -2
+	}
+	p.entryKey = nameKey("")
 
 	constIdx := make(map[ir.Value]int32)
 	internConst := func(v ir.Value) int32 {
 		if idx, ok := constIdx[v]; ok {
 			return idx
-		}
-		if constHasDynamicElems(v, reg) {
-			p.fallback = true
-			if p.fallbackWhy == "" {
-				p.fallbackWhy = "dynamic vector constant (elements of " + v.Ident() +
-					" are computed at run time)"
-			}
 		}
 		e := materializeConst(v, reg)
 		idx := int32(len(p.consts))
@@ -173,7 +193,7 @@ func Compile(fn *ir.Func) *Program {
 	}
 	p.straight = len(fn.Blocks) == 1
 	for bi, b := range fn.Blocks {
-		cb := cblock{name: b.Name, start: int32(len(p.code))}
+		cb := cblock{name: b.Name, start: int32(len(p.code)), key: nameKey(b.Name)}
 		for _, in := range b.Instrs {
 			ci := cinstr{in: in, dst: -1, succ: [2]int32{-1, -1}}
 			if in.HasResult() {
@@ -191,8 +211,9 @@ func Compile(fn *ir.Func) *Program {
 				} else {
 					idx := internConst(a)
 					ci.args[k] = ^idx
-					if p.consts[idx].ub {
+					if p.consts[idx].guarded() {
 						ci.checks = append(ci.checks, int32(k))
+						p.straight = false
 					}
 				}
 			}
@@ -213,10 +234,7 @@ func Compile(fn *ir.Func) *Program {
 				p.straight = false
 				ci.phiPred = make([]int32, len(in.Labels))
 				for k, l := range in.Labels {
-					ci.phiPred[k] = -2
-					if t, ok := blockIdx[l]; ok {
-						ci.phiPred[k] = t
-					}
+					ci.phiPred[k] = nameKey(l)
 				}
 			}
 			if in.HasResult() {
@@ -243,11 +261,33 @@ func Compile(fn *ir.Func) *Program {
 			for k, slot := range ci.args {
 				if slot >= 0 && !isParamReg(p, slot) {
 					ci.checks = append(ci.checks, int32(k))
-				} else if slot < 0 && p.consts[^slot].ub {
+				} else if slot < 0 && p.consts[^slot].guarded() {
 					ci.checks = append(ci.checks, int32(k))
 				}
 			}
 		}
+	}
+	p.kinds = make([]batchKind, len(p.code))
+	p.constCols = make([][]Word, len(p.consts))
+	var cols []int32 // const-pool indices that need a column
+	for gi := range p.code {
+		p.kinds[gi] = classifyBatch(p, &p.code[gi])
+		if !p.kinds[gi].specialized() {
+			continue
+		}
+		for _, slot := range p.code[gi].args {
+			if slot < 0 && !slices.Contains(cols, ^slot) {
+				cols = append(cols, ^slot)
+			}
+		}
+	}
+	backing := make([]Word, len(cols)*BatchWidth)
+	for k, idx := range cols {
+		col := backing[k*BatchWidth : (k+1)*BatchWidth : (k+1)*BatchWidth]
+		for j := range col {
+			col[j] = p.consts[idx].rv.Lanes[0]
+		}
+		p.constCols[idx] = col
 	}
 	return p
 }
@@ -256,74 +296,75 @@ func isParamReg(p *Program, r int32) bool {
 	return int(r) < len(p.paramReg)
 }
 
-// constHasDynamicElems reports whether v is a vector constant with an
-// element that is a runtime value (parameter or instruction result). Such
-// composites force the whole program onto the Exec fallback.
-func constHasDynamicElems(v ir.Value, reg map[ir.Value]int32) bool {
-	switch c := v.(type) {
-	case *ir.Splat:
-		if _, dyn := reg[c.Elem]; dyn {
-			return true
+// materializeConst builds the pool entry for a non-register operand,
+// mirroring state.operand's constant cases.
+func materializeConst(v ir.Value, reg map[ir.Value]int32) constEntry {
+	var uses []dynUse
+	elems, why := constElems(v, reg, &uses)
+	e := constEntry{ub: why != "", why: why}
+	switch {
+	case len(uses) > 0:
+		e.dyn = &dynConst{uses: uses, elems: elems}
+	case !e.ub:
+		lanes := make([]Word, len(elems))
+		for i, el := range elems {
+			lanes[i] = el.w
 		}
-		return constHasDynamicElems(c.Elem, reg)
-	case *ir.ConstVec:
-		for _, el := range c.Elems {
-			if _, dyn := reg[el]; dyn {
-				return true
-			}
-			if constHasDynamicElems(el, reg) {
-				return true
-			}
-		}
+		e.rv = RVal{Ty: v.Type(), Lanes: lanes}
 	}
-	return false
+	return e
 }
 
-// materializeConst builds the pool entry for a non-register operand. It
-// mirrors state.operand's constant cases; values it cannot materialize
-// become lazy-UB entries (vector constants with runtime elements are instead
-// routed to the Exec fallback by constHasDynamicElems).
-func materializeConst(v ir.Value, reg map[ir.Value]int32) constEntry {
+// constElems flattens v into per-lane sources the way state.operand
+// evaluates it: register elements are appended to uses in evaluation order,
+// and the first element that cannot be materialized stops the walk with its
+// reason.
+func constElems(v ir.Value, reg map[ir.Value]int32, uses *[]dynUse) ([]dynElem, string) {
+	if r, ok := reg[v]; ok {
+		*uses = append(*uses, dynUse{reg: r, why: "use of unbound value " + v.Ident()})
+		return []dynElem{{reg: r}}, ""
+	}
+	lit := func(rv RVal) []dynElem {
+		out := make([]dynElem, len(rv.Lanes))
+		for i, w := range rv.Lanes {
+			out[i] = dynElem{reg: -1, w: w}
+		}
+		return out
+	}
 	switch c := v.(type) {
 	case *ir.ConstInt:
-		return constEntry{rv: Scalar(c.Ty, c.V)}
+		return lit(Scalar(c.Ty, c.V)), ""
 	case *ir.ConstFloat:
-		return constEntry{rv: Scalar(c.Ty, storeFloat(c.Ty.W, c.F))}
+		return lit(Scalar(c.Ty, storeFloat(c.Ty.W, c.F))), ""
 	case *ir.Null:
-		return constEntry{rv: Scalar(ir.Ptr, 0)}
+		return lit(Scalar(ir.Ptr, 0)), ""
 	case *ir.Zero:
-		return constEntry{rv: RVal{Ty: c.Ty, Lanes: make([]Word, ir.Lanes(c.Ty))}}
+		return lit(RVal{Lanes: make([]Word, ir.Lanes(c.Ty))}), ""
 	case *ir.Undef:
 		// Undef is approximated as zero, matching state.operand.
-		return constEntry{rv: RVal{Ty: c.Ty, Lanes: make([]Word, ir.Lanes(c.Ty))}}
+		return lit(RVal{Lanes: make([]Word, ir.Lanes(c.Ty))}), ""
 	case *ir.PoisonVal:
-		return constEntry{rv: PoisonRV(c.Ty)}
+		return lit(PoisonRV(c.Ty)), ""
 	case *ir.Splat:
-		if _, dyn := reg[c.Elem]; dyn {
-			return constEntry{ub: true, why: "use of unbound value " + c.Elem.Ident()}
+		el, why := constElems(c.Elem, reg, uses)
+		if why != "" {
+			return nil, why
 		}
-		e := materializeConst(c.Elem, reg)
-		if e.ub {
-			return e
+		out := make([]dynElem, c.Ty.N)
+		for i := range out {
+			out[i] = el[0]
 		}
-		lanes := make([]Word, c.Ty.N)
-		for i := range lanes {
-			lanes[i] = e.rv.Lanes[0]
-		}
-		return constEntry{rv: RVal{Ty: c.Ty, Lanes: lanes}}
+		return out, ""
 	case *ir.ConstVec:
-		lanes := make([]Word, len(c.Elems))
-		for i, el := range c.Elems {
-			if _, dyn := reg[el]; dyn {
-				return constEntry{ub: true, why: "use of unbound value " + el.Ident()}
+		out := make([]dynElem, len(c.Elems))
+		for i, e := range c.Elems {
+			el, why := constElems(e, reg, uses)
+			if why != "" {
+				return nil, why
 			}
-			e := materializeConst(el, reg)
-			if e.ub {
-				return e
-			}
-			lanes[i] = e.rv.Lanes[0]
+			out[i] = el[0]
 		}
-		return constEntry{rv: RVal{Ty: c.Ty, Lanes: lanes}}
+		return out, ""
 	}
-	return constEntry{ub: true, why: "use of unbound value " + v.Ident()}
+	return nil, "use of unbound value " + v.Ident()
 }

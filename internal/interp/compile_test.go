@@ -11,8 +11,9 @@ import (
 
 // diffCases are functions chosen to exercise every execution construct the
 // two engines implement: straight-line scalar and vector code, intrinsics,
-// conversions, memory, control flow with phis and loops, and the runtime
-// error paths (unbound values, unknown blocks, budget exhaustion).
+// conversions, memory, control flow with phis and loops, vector constants
+// whose elements are runtime values, and the runtime error paths (unbound
+// values, unknown blocks, budget exhaustion).
 var diffCases = []struct {
 	name string
 	src  string
@@ -142,10 +143,62 @@ use:
   store i8 %x, ptr %p, align 1
   ret void
 }`},
+	{"entry-phi-unknown-label", `define i8 @f(i8 %x) {
+  %p = phi i8 [ %x, %nowhere ]
+  ret i8 %p
+}`},
+	{"entry-phi-empty-label", `define i8 @f(i8 %x) {
+  %p = phi i8 [ %x, % ]
+  ret i8 %p
+}`},
+	{"dyn-splat", `define <2 x i8> @f(i8 %x) {
+  %s = add <2 x i8> splat (i8 %x), splat (i8 1)
+  ret <2 x i8> %s
+}`},
+	{"dyn-constvec", `define <2 x i8> @f(i8 %x, <2 x i8> %v) {
+  %r = udiv <2 x i8> %v, <i8 %x, i8 3>
+  ret <2 x i8> %r
+}`},
+	{"dyn-ret", `define <2 x i8> @f(i8 %x, i8 %y) {
+  %a = mul i8 %x, %y
+  ret <2 x i8> <i8 %a, i8 %x>
+}`},
+	{"dyn-forward-ref", `define <2 x i8> @f(i8 %x, <2 x i8> %v) {
+  %a = add <2 x i8> %v, <i8 %b, i8 1>
+  %b = add i8 %x, 1
+  ret <2 x i8> %a
+}`},
+	{"dyn-branch-phi", `define <2 x i8> @f(i8 %x) {
+entry:
+  %c = icmp ult i8 %x, 128
+  br i1 %c, label %a, label %b
+a:
+  %y = add i8 %x, 1
+  br label %join
+b:
+  br label %join
+join:
+  %p = phi <2 x i8> [ <i8 %y, i8 %x>, %a ], [ splat (i8 %x), %b ]
+  %r = add <2 x i8> %p, <i8 %y, i8 2>
+  ret <2 x i8> %r
+}`},
+	{"dyn-loop", `define <2 x i8> @f(i8 %n) {
+entry:
+  br label %head
+head:
+  %i = phi i8 [ 0, %entry ], [ %inext, %head ]
+  %acc = phi <2 x i8> [ zeroinitializer, %entry ], [ %accn, %head ]
+  %accn = add <2 x i8> %acc, <i8 %i, i8 %n>
+  %inext = add i8 %i, 1
+  %c = icmp ult i8 %inext, 5
+  br i1 %c, label %head, label %done
+done:
+  ret <2 x i8> %accn
+}`},
 }
 
 // runBoth executes f on equivalent fresh environments through Exec and a
-// compiled Evaluator and requires bit-identical results.
+// one-environment RunBatch and requires bit-identical results.
 func runBoth(t *testing.T, f *ir.Func, ev *Evaluator, args []RVal, maxSteps int, label string) {
 	t.Helper()
 	mkEnv := func() Env {
@@ -171,7 +224,9 @@ func runBoth(t *testing.T, f *ir.Func, ev *Evaluator, args []RVal, maxSteps int,
 	}
 	e1, e2 := mkEnv(), mkEnv()
 	r1 := Exec(f, e1)
-	r2 := ev.Run(e2)
+	out := make([]Result, 1)
+	ev.RunBatch([]Env{e2}, out)
+	r2 := out[0]
 	if r1.UB != r2.UB || r1.UBReason != r2.UBReason ||
 		r1.Completed != r2.Completed || r1.DynInstrs != r2.DynInstrs {
 		t.Fatalf("%s: result mismatch\nexec:      %+v\nevaluator: %+v", label, r1, r2)
@@ -272,32 +327,11 @@ func TestCompiledEvaluatorArgMismatch(t *testing.T) {
 	f := parser.MustParseFunc(`define i8 @f(i8 %x) { ret i8 %x }`)
 	ev := NewEvaluator(Compile(f))
 	r1 := Exec(f, Env{})
-	r2 := ev.Run(Env{})
+	out := make([]Result, 1)
+	ev.RunBatch([]Env{{}}, out)
+	r2 := out[0]
 	if r1.UBReason != r2.UBReason || !r1.UB || !r2.UB {
 		t.Fatalf("mismatch: %+v vs %+v", r1, r2)
-	}
-}
-
-// TestCompiledEvaluatorFallback covers the dynamic-vector-constant fallback:
-// a constant vector referencing a parameter is resolved dynamically by the
-// reference interpreter, so such programs must delegate wholesale.
-func TestCompiledEvaluatorFallback(t *testing.T) {
-	x := &ir.Param{Nm: "x", Ty: ir.I8}
-	vec := ir.VecT(2, ir.I8)
-	cv := &ir.ConstVec{Ty: vec, Elems: []ir.Value{x, ir.CInt(ir.I8, 3)}}
-	v := &ir.Param{Nm: "v", Ty: vec}
-	add := ir.Bin(ir.OpAdd, "r", ir.NoFlags, v, cv)
-	f := ir.NewFunc("f", vec, []*ir.Param{x, v}, []*ir.Instr{add, ir.RetI(add)})
-	p := Compile(f)
-	if !p.fallback {
-		t.Fatal("expected fallback for dynamic vector constant")
-	}
-	ev := NewEvaluator(p)
-	args := []RVal{Scalar(ir.I8, 5), VecOf(vec, 1, 2)}
-	r1 := Exec(f, Env{Args: args})
-	r2 := ev.Run(Env{Args: args})
-	if !r1.Ret.Equal(r2.Ret) || r1.UB != r2.UB {
-		t.Fatalf("fallback mismatch: %+v vs %+v", r1, r2)
 	}
 }
 
@@ -311,6 +345,10 @@ func TestCompiledStraightLineIsRecognized(t *testing.T) {
 	g := parser.MustParseFunc(diffCases[10].src) // branch-phi
 	if p := Compile(g); p.straight {
 		t.Fatal("multi-block function must not take the fast path")
+	}
+	h := parser.MustParseFunc(`define <2 x i8> @f(i8 %x) { ret <2 x i8> splat (i8 %x) }`)
+	if p := Compile(h); p.straight {
+		t.Fatal("a dynamic vector constant needs per-lane bound checks, off the fast path")
 	}
 }
 
@@ -331,13 +369,17 @@ func TestCacheSharesPrograms(t *testing.T) {
 }
 
 // TestEvaluatorRetLifetime documents that Ret aliases scratch until the next
-// Run and that Clone detaches it.
+// run and that Clone detaches it.
 func TestEvaluatorRetLifetime(t *testing.T) {
 	f := parser.MustParseFunc(`define i8 @f(i8 %x) { %r = add i8 %x, 1 ret i8 %r }`)
 	ev := NewEvaluator(Compile(f))
-	r1 := ev.Run(Env{Args: []RVal{Scalar(ir.I8, 1)}})
-	kept := r1.Ret.Clone()
-	_ = ev.Run(Env{Args: []RVal{Scalar(ir.I8, 100)}})
+	out := make([]Result, 1)
+	ev.RunBatch([]Env{{Args: []RVal{Scalar(ir.I8, 1)}}}, out)
+	aliased, kept := out[0].Ret, out[0].Ret.Clone()
+	ev.RunBatch([]Env{{Args: []RVal{Scalar(ir.I8, 100)}}}, out)
+	if aliased.Lanes[0].V != 101 {
+		t.Fatalf("returned lanes should alias the evaluator's scratch: %v", aliased.Lanes[0])
+	}
 	if kept.Lanes[0].V != 2 {
 		t.Fatalf("cloned return mutated: %v", kept.Lanes[0])
 	}

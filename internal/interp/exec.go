@@ -25,11 +25,11 @@ type Env struct {
 const defaultMaxSteps = 1 << 20
 
 // Exec runs fn on the given environment with the reference tree-walking
-// interpreter. It is the semantic baseline: Compile/Evaluator run the same
-// per-opcode kernels over a preallocated register file and are checked
-// against Exec by differential tests. Use Exec for one-shot executions;
-// batch executors (the alive checker, the superoptimizer baselines) compile
-// once and stream inputs through an Evaluator instead.
+// interpreter. It is the semantic baseline and an independent oracle: the
+// Evaluator runs the same per-opcode kernels over a lane-batched register
+// arena and is checked against Exec by differential tests and a fuzz
+// target. Production code executes through an Evaluator; Exec serves the
+// reference verifier (alive.ReferenceVerify) and one-shot constant folding.
 func Exec(fn *ir.Func, env Env) Result {
 	maxSteps := env.MaxSteps
 	if maxSteps == 0 {

@@ -178,6 +178,24 @@ func TestVerifyCatchesBrokenFunctions(t *testing.T) {
 	if err := VerifyFunc(h); err == nil {
 		t.Fatal("duplicate name must fail verification")
 	}
+	// Intrinsic calls must supply every operand the interpreter's kernel
+	// reads, each with at least the result's lanes.
+	x := &Param{Nm: "x", Ty: I8}
+	v := VecT(2, I8)
+	for _, call := range []*Instr{
+		CallI("r", "llvm.umin.i8", I8, x),
+		CallI("r", "llvm.fshl.i8", I8, x, x),
+		CallI("r", "llvm.umax.v2i8", v, x, x),
+	} {
+		fn := NewFunc("f", call.Ty, []*Param{x}, []*Instr{call, RetI(call)})
+		if err := VerifyFunc(fn); err == nil {
+			t.Fatalf("malformed intrinsic call %s must fail verification", call)
+		}
+	}
+	ok := CallI("r", "llvm.abs.i8", I8, x) // the i1 flag is optional
+	if err := VerifyFunc(NewFunc("f", I8, []*Param{x}, []*Instr{ok, RetI(ok)})); err != nil {
+		t.Fatalf("abs without its flag must verify: %v", err)
+	}
 }
 
 func TestInstrStringFormats(t *testing.T) {

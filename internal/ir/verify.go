@@ -229,6 +229,17 @@ func checkTypes(f *Func, in *Instr, _ int) error {
 		if in.Callee == "" {
 			return errf("call without callee")
 		}
+		// The interpreter's intrinsic kernels read these operands for
+		// every result lane.
+		n := intrinsicOperands[IntrinsicBase(in.Callee)]
+		if len(in.Args) < n {
+			return errf("%s needs %d operands, have %d", in.Callee, n, len(in.Args))
+		}
+		for i := 0; i < n; i++ {
+			if Lanes(argTy(i)) < Lanes(in.Ty) {
+				return errf("operand %d of %s has fewer lanes than its result %s", i, in.Callee, in.Ty)
+			}
+		}
 	case in.Op == OpBr:
 		if len(in.Args) == 0 && len(in.Labels) != 1 {
 			return errf("unconditional br needs one label")
@@ -291,4 +302,13 @@ func VerifyModule(m *Module) error {
 		}
 	}
 	return nil
+}
+
+// intrinsicOperands is the number of operands each evaluated intrinsic reads
+// unconditionally (abs, ctlz and cttz read their i1 flag only when present).
+var intrinsicOperands = map[string]int{
+	"umin": 2, "umax": 2, "smin": 2, "smax": 2,
+	"uadd.sat": 2, "usub.sat": 2, "sadd.sat": 2, "ssub.sat": 2,
+	"abs": 1, "ctpop": 1, "ctlz": 1, "cttz": 1, "bswap": 1, "bitreverse": 1,
+	"fshl": 3, "fshr": 3, "fabs": 1, "minnum": 2, "maxnum": 2,
 }

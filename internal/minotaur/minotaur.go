@@ -88,27 +88,35 @@ func Optimize(src *ir.Func, opts Options) Result {
 	pool := alive.NewCEPool()
 	want := make([]interp.RVal, len(vectors))
 	defined := make([]bool, len(vectors))
+	one := make([]interp.Result, 1)
+	run1 := func(ev *interp.Evaluator, args []interp.RVal) interp.Result {
+		ev.RunBatch([]interp.Env{{Args: args}}, one)
+		return one[0]
+	}
 	srcEval := interp.NewEvaluator(progs.Program(src))
 	for i, v := range vectors {
-		r := srcEval.Run(interp.Env{Args: v})
+		r := run1(srcEval, v)
 		if r.Completed && !r.UB && !r.Ret.AnyPoison() {
 			want[i] = r.Ret.Clone()
 			defined[i] = true
 		}
 	}
 	srcInstrs := src.NumInstrs(true)
+	// One evaluator, reloaded per candidate, keeps the enumeration from
+	// allocating a batch arena for each of its many short-lived programs.
+	candEval := interp.NewEvaluator(progs.Program(src))
 
 	try := func(cand *ir.Func) bool {
 		res.VirtualSeconds += 0.05
 		if cand.NumInstrs(true) >= srcInstrs {
 			return false
 		}
-		candEval := interp.NewEvaluator(progs.Program(cand))
+		candEval.Load(progs.Program(cand))
 		for i := range vectors {
 			if !defined[i] {
 				continue
 			}
-			r := candEval.Run(interp.Env{Args: vectors[i]})
+			r := run1(candEval, vectors[i])
 			if !r.Completed || r.UB || !r.Ret.Equal(want[i]) {
 				return false
 			}

@@ -242,7 +242,7 @@ func (s *Store) recover() error {
 	r := bufio.NewReader(io.NewSectionReader(s.f, 0, info.Size()))
 	hdr := make([]byte, len(magic))
 	if _, err := io.ReadFull(r, hdr); err != nil || string(hdr) != magic {
-		return fmt.Errorf("store: %s is not a lpod store log", filepath.Join(s.dir, LogName))
+		return fmt.Errorf("store: %s is not a lpod store log", filepath.Join(s.dir, s.name))
 	}
 	good := int64(len(magic))
 	for {

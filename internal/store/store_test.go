@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -148,14 +149,30 @@ func TestStoreCorruptTailCRC(t *testing.T) {
 	}
 }
 
-// TestStoreNotAStore rejects files that are not lpod logs.
+// TestStoreNotAStore rejects files that are not lpod logs, naming the
+// offending file: the single log, or the one shard with a bad header.
 func TestStoreNotAStore(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, LogName), []byte("something else entirely"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("foreign file accepted as a store log")
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), LogName) {
+		t.Fatalf("foreign single log: err = %v, want it rejected naming %s", err, LogName)
+	}
+
+	dir = t.TempDir()
+	sh, err := OpenSharded(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.Close()
+	bad := shardName(2)
+	if err := os.WriteFile(filepath.Join(dir, bad), []byte("something else entirely"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenSharded(dir, 4)
+	if err == nil || !strings.Contains(err.Error(), bad) || strings.Contains(err.Error(), LogName) {
+		t.Fatalf("foreign shard log: err = %v, want it rejected naming %s", err, bad)
 	}
 }
 
