@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/extract"
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/llm"
 	"repro/internal/mca"
@@ -314,6 +315,31 @@ func BenchmarkVerifyMemory(b *testing.B) { experiments.BenchVerifyMemory(b) }
 // pair re-instantiated and re-verified at i8/i16/i32/i64) with the shared
 // program cache.
 func BenchmarkVerifyWidths(b *testing.B) { experiments.BenchVerifyWidths(b) }
+
+// BenchmarkVerifyExhaustive measures the checker on an exhaustively
+// enumerated i8 x i8 pair (umax(x, y) - y vs usub.sat(x, y): 65536 vectors
+// plus poison trials), the shape of most generalize width-sweep work:
+// column-wise input generation and the whole-batch intrinsic kernels carry
+// it.
+func BenchmarkVerifyExhaustive(b *testing.B) {
+	src := parser.MustParseFunc(`define i8 @src(i8 %x, i8 %y) {
+  %m = call i8 @llvm.umax.i8(i8 %x, i8 %y)
+  %r = sub i8 %m, %y
+  ret i8 %r
+}`)
+	tgt := parser.MustParseFunc(`define i8 @tgt(i8 %x, i8 %y) {
+  %r = call i8 @llvm.usub.sat.i8(i8 %x, i8 %y)
+  ret i8 %r
+}`)
+	opts := alive.Options{Seed: 1, Programs: interp.NewCache()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := alive.Verify(src, tgt, opts); r.Verdict != alive.Correct || !r.Exhaustive {
+			b.Fatalf("verdict %v, exhaustive %v", r.Verdict, r.Exhaustive)
+		}
+	}
+}
 
 func BenchmarkAliveVerifyClamp(b *testing.B) {
 	src := parser.MustParseFunc(clampSrc)

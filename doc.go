@@ -124,22 +124,33 @@
 // batch arena in which every scalar register's operands and results are
 // contiguous runs of words. The per-instruction dispatch that dominates
 // single-vector execution is paid once per batch, the hot scalar kernels
-// (integer binaries, icmp, select, int conversions, min/max intrinsics,
-// freeze) run as tight per-op loops with constants pre-broadcast into
-// columns, and UB, poison, return values and step budgets are tracked per
-// lane — bit-identical to running each vector alone (pinned by randomized
-// differential tests over straight-line, branchy and memory-touching
-// programs). Multi-block programs run under a lane-masked scheduler: each
-// block keeps a bitmask of lanes waiting to execute it, the scheduler
-// always resumes the lowest-numbered runnable block so lanes that diverged
-// at a branch reconverge at the join, and per-lane step budgets, phi
-// predecessors and defined-register guards match Exec exactly — a lane that exhausts its budget or trips UB simply drops out of every
-// later mask. Memory-touching programs batch over per-lane memory slabs
-// (interp.BatchMems): one lane-strided allocation per declared region,
-// carved into BatchWidth isolated Memory views at identical base
-// addresses, so loads and stores index lane-local storage with no
-// cross-lane interference and a lane's final memory can be diffed or reset
-// (ResetLane) independently. Streaming callers write inputs straight into
+// (integer binaries, icmp, select, int conversions, freeze) run as tight
+// per-op loops with constants pre-broadcast into columns, and UB, poison,
+// return values and step budgets are tracked per lane — bit-identical to
+// running each vector alone (pinned by randomized differential tests over
+// straight-line, branchy and memory-touching programs). Intrinsic calls
+// are resolved once at Compile: a scalar call to any supported intrinsic
+// whose abs/ctlz/cttz flag is a constant runs the whole-batch bkCall
+// kernel, which applies the same per-lane semantics Exec uses
+// (intrinsicOp.lane) with the callee, width and flag fixed for the batch;
+// vector-typed calls and calls with a register flag take the per-vector
+// path, which still skips the callee lookup and sets operand types once
+// per instruction. A run's outcome stays in the evaluator as lane masks
+// (Outcome: completed, UB), per-lane step counts and the executed ret, so
+// the hot loop writes no per-lane Result; RetLanes reads a lane's return
+// value in place, and Result materializes a lane's full Result only when a
+// caller asks (RunBatch does so for every lane). Multi-block programs run
+// under a lane-masked scheduler: each block keeps a bitmask of lanes
+// waiting to execute it, the scheduler always resumes the lowest-numbered
+// runnable block so lanes that diverged at a branch reconverge at the join,
+// and per-lane step budgets, phi predecessors and defined-register guards
+// match Exec exactly — a lane that exhausts its budget or trips UB simply
+// drops out of every later mask. Memory-touching programs batch over
+// per-lane memory slabs (interp.BatchMems): one lane-strided allocation
+// per declared region, carved into BatchWidth isolated Memory views at
+// identical base addresses, so loads and stores index lane-local storage
+// with no cross-lane interference and a lane's final memory can be diffed
+// or reset (ResetLane) independently. Streaming callers write inputs straight into
 // the evaluator's ArgColumn runs and execute with RunBatchFilled, eliding
 // staging and scatter entirely. interp.Cache is bounded (clock eviction
 // over a few thousand programs, Stats for hit/miss/eviction counters), so
@@ -154,17 +165,21 @@
 // streams through the lane-batched evaluators — straight-line or branchy,
 // with or without memory; tier 0 replays only vectors whose pointer
 // arguments are defined, since the batched fill pins them to region bases.
-// The input generator emits columnwise (inputGen.nextBatch binds each
-// output vector to a different ArgColumn slot before drawing it, keeping
-// the vector-major rng draw order that same-seed reproducibility pins),
-// memory fills land directly in the per-lane slabs, and refuted pairs
-// restore the raw generated pointer words and initial region bytes so the
-// counterexample text stays byte-identical to alive.ReferenceVerify, the
-// Exec-per-input oracle that shares no execution path with the Checker.
-// Result.Tiers reports per-tier executions, the killing tier and the
-// batched/fallback split (Batched + Fallback == Checked; Fallback counts
-// vectors run by the reference interpreter, which only ReferenceVerify
-// does);
+// The input generator fills whole batches straight into the evaluator's
+// ArgColumn runs (inputGen.fill): exhaustive enumeration writes column by
+// column, a shift and a mask per lane from a per-slot counter, while the
+// sampled and poison phases stay vector-major inside the batch because
+// their rng draw order is what same-seed reproducibility pins; the rng is
+// created, with the same seed, only at its first draw. Memory fills land
+// directly in the per-lane slabs, the refinement check reads the
+// evaluators' outcome masks and return values in place, Checked and the per-tier
+// counts are added once per batch, and refuted pairs restore the raw
+// generated pointer words and initial region bytes so the counterexample
+// text stays byte-identical to alive.ReferenceVerify, the Exec-per-input
+// oracle that shares no execution path with the Checker. Result.Tiers
+// reports per-tier executions, the killing tier and the batched/fallback
+// split (Batched + Fallback == Checked; Fallback counts vectors run by the
+// reference interpreter, which only ReferenceVerify does);
 // `lpo-verify -stats` prints them, engine.Stats aggregates them campaign-
 // wide as BatchCoverage, and GET /v1/stats serves them.
 // alive.VerifyWidths reseeds each width of a sweep with earlier widths'
@@ -173,7 +188,11 @@
 // kills), and the Souper/Minotaur CEGIS loops deposit and replay through
 // the same pool while folding refuting inputs into their test-vector
 // filters. On one core this makes the clamp verification ~3x and the
-// generalize width sweep ~3.6x faster than the PR-4 reference.
+// generalize width sweep ~3.6x faster than the PR-4 reference. The
+// generalize sweeps run about twice as many vectors per campaign as the
+// verify stage, nearly all of them exhaustive enumerations of at most 16
+// input bits; `lpo -stats` prints both counts (verify executions,
+// generalize executions).
 //
 // `lpo-bench -json FILE` records the hot-path numbers as a machine-readable
 // snapshot so later PRs have a trajectory to compare against. The format

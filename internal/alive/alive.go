@@ -19,17 +19,24 @@
 // compile-once Checker: both functions are compiled to interp Programs
 // (optionally via a shared Options.Programs cache), and every input vector —
 // tier-0 replays and generated vectors alike — streams in lane batches
-// through two reusable Evaluators. A CounterExample is materialized only on
-// an actual violation, so a steady-state Verify performs O(1) amortized
-// allocations per input vector. ReferenceVerify re-walks both functions with
-// the reference interpreter (interp.Exec) per input and shares no execution
-// path with the Checker: it is the independent oracle that differential
-// tests and benchmark re-checks compare the Checker against.
+// through two reusable Evaluators. The input generator writes each batch
+// straight into the evaluators' input columns (exhaustive enumeration
+// column by column, sampled phases vector by vector in their rng draw
+// order), and the refinement check reads the evaluators' outcome masks and
+// each lane's return value in place, counting checked vectors per batch. A CounterExample is
+// materialized only on an actual violation, so a steady-state Verify
+// performs a constant number of allocations however many batches it runs.
+// ReferenceVerify re-walks both functions with the reference interpreter
+// (interp.Exec) per input and shares no execution path with the Checker: it
+// is the independent oracle that differential tests and benchmark re-checks
+// compare the Checker against.
 package alive
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/interp"
@@ -219,20 +226,20 @@ type Checker struct {
 	haveKey bool
 	seeds   []PoolVector // extra tier-0 vectors (width-sweep reseeding)
 
-	// Lane-batched streaming state. Each vector is written directly into
-	// the source evaluator's input columns (bArgs views them per batch
-	// slot), the columns are bulk-copied into the target evaluator, and both
-	// sides run with RunBatchFilled — no per-vector staging or scatter at
-	// all. Pairs with pointer parameters additionally carry per-lane slab
-	// memories: each batch slot's regions are reset to that vector's
-	// initial fill before the runs and diffed lane against lane afterwards.
-	bArgs            [][]interp.RVal // per batch slot: views into srcCols
+	// Lane-batched streaming state. The generator writes each batch
+	// straight into the source evaluator's input columns, the columns are
+	// bulk-copied into the target evaluator, and both sides run with
+	// RunBatchFilled — no per-vector staging or scatter at all. The
+	// refinement check reads the evaluators' outcome masks and return
+	// views, so no per-lane Result is built unless a lane violates. Pairs
+	// with pointer parameters additionally carry per-lane slab memories:
+	// each batch slot's regions are reset to that vector's initial fill
+	// before the runs and diffed lane against lane afterwards.
 	srcCols, tgtCols [][]interp.Word // per param: the evaluators' input columns
-	bTiers           []int8
-	srcRes           []interp.Result
-	tgtRes           []interp.Result
+	lanes            []int           // per param: lanes per vector
+	memIdx           []int           // per slot: the generator fill it starts from
+	tiers            batchTiers
 	srcBM, tgtBM     *interp.BatchMems // per-lane memories (pointer params only)
-	bFills           [][][]byte        // per slot: initial region fill, per ptr param
 	ptrSave          [][]interp.Word   // per ptr param: raw generated words, per slot
 }
 
@@ -298,23 +305,19 @@ func (c *Checker) Verify() Result {
 	}
 	gen := newInputGen(c.src, c.opts)
 	res.Exhaustive = gen.exhaustive
-	var fill func(int)
-	if len(c.ptrParams) > 0 {
-		fill = func(b int) { c.pinSlot(b, gen.memBytes) }
-	}
 	for {
-		n := gen.nextBatch(c.bArgs, c.bTiers, fill)
+		n := gen.fill(c.srcCols, c.memIdx, &c.tiers)
 		if n == 0 {
 			break
 		}
+		for b := 0; b < n && c.srcBM != nil; b++ {
+			c.pinSlot(b, gen.fills[c.memIdx[b]])
+		}
 		if i := c.runBatch(n, &res); i >= 0 {
 			ce := res.CE
-			ce.Inputs = cloneRVals(c.bArgs[i])
-			for j, pi := range c.ptrParams {
-				ce.Inputs[pi].Lanes[0] = c.ptrSave[j][i]
-			}
-			if c.bFills != nil {
-				ce.Memory = cloneByteSlices(c.bFills[i])
+			ce.Inputs = c.slotInputs(i)
+			if c.srcBM != nil {
+				ce.Memory = cloneByteSlices(gen.fills[c.memIdx[i]])
 			}
 			c.deposit(ce)
 			return res
@@ -322,6 +325,20 @@ func (c *Checker) Verify() Result {
 	}
 	res.Verdict = Correct
 	return res
+}
+
+// slotInputs clones batch slot b's input vector as generated: pointer
+// arguments carry their raw words, not the pinned region bases.
+func (c *Checker) slotInputs(b int) []interp.RVal {
+	out := make([]interp.RVal, len(c.src.Params))
+	for i, p := range c.src.Params {
+		L := c.lanes[i]
+		out[i] = interp.RVal{Ty: p.Ty, Lanes: slices.Clone(c.srcCols[i][b*L : (b+1)*L])}
+	}
+	for j, pi := range c.ptrParams {
+		out[pi].Lanes[0] = c.ptrSave[j][b]
+	}
+	return out
 }
 
 // replay is tier 0: it runs the counterexamples that killed earlier
@@ -343,11 +360,12 @@ func (c *Checker) replay(res *Result) bool {
 		for slot, vi := range chunk {
 			pv := vecs[vi]
 			for i, in := range pv.Inputs {
-				copy(c.bArgs[slot][i].Lanes, in.Lanes)
+				L := c.lanes[i]
+				copy(c.srcCols[i][slot*L:(slot+1)*L], in.Lanes)
 			}
-			c.bTiers[slot] = TierPool
 			c.pinSlot(slot, pv.Mem)
 		}
+		c.tiers = batchTiers{base: TierPool}
 		slot := c.runBatch(len(chunk), res)
 		if slot < 0 {
 			continue
@@ -408,87 +426,90 @@ func (c *Checker) pinSlot(b int, mem [][]byte) {
 	for j, pi := range c.ptrParams {
 		c.ptrSave[j][b] = c.srcCols[pi][b]
 		c.srcCols[pi][b] = interp.Word{V: regionBase(pi)}
-		copy(c.bFills[b][j], mem[j])
 		c.srcBM.ResetLane(j, b, mem[j])
 		c.tgtBM.ResetLane(j, b, mem[j])
 	}
 }
 
 // runBatch executes the first n filled batch slots through both programs
-// and checks the refinement obligation slot by slot, counting each checked
-// vector into res. At the first violation it records the verdict, kill tier
-// and a counterexample — whose Inputs and Memory the caller fills in — in
-// res and returns the slot; otherwise it returns -1.
+// and checks the refinement obligation in slot order, counting the checked
+// vectors and their tiers into res per batch. At the first violation it
+// records the verdict, kill tier and a counterexample — whose Inputs and
+// Memory the caller fills in — in res and returns the slot; otherwise it
+// returns -1.
 func (c *Checker) runBatch(n int, res *Result) int {
-	for k := range c.srcCols {
-		lanesPerVec := len(c.srcCols[k]) / interp.BatchWidth
-		copy(c.tgtCols[k][:n*lanesPerVec], c.srcCols[k][:n*lanesPerVec])
+	for k, L := range c.lanes {
+		copy(c.tgtCols[k][:n*L], c.srcCols[k][:n*L])
 	}
 	var srcMems, tgtMems []*interp.Memory
 	if c.srcBM != nil {
 		srcMems, tgtMems = c.srcBM.Mems, c.tgtBM.Mems
 	}
-	c.se.RunBatchFilled(n, c.srcRes[:n], srcMems)
-	c.te.RunBatchFilled(n, c.tgtRes[:n], tgtMems)
-	retVoid := ir.IsVoid(c.src.Ret)
-	fpBits := retFPBits(c.src.Ret)
-	for i := 0; i < n; i++ {
-		res.Checked++
-		res.Tiers.count(int(c.bTiers[i]))
-		res.Tiers.Batched++
-		rs, rt := &c.srcRes[i], &c.tgtRes[i]
-		if !rs.Completed || rs.UB {
-			continue // out of budget or source UB: target unconstrained
-		}
-		if !rt.Completed {
-			continue
-		}
-		diff := ""
-		if !rt.UB && (retVoid || refinesLanes(rs.Ret.Lanes, rt.Ret.Lanes, fpBits)) {
-			if c.srcBM != nil {
-				diff = memDiff(c.srcBM.Mems[i], c.tgtBM.Mems[i])
-			}
-			if diff == "" {
-				continue
-			}
-		}
-		res.Verdict = Incorrect
-		res.Tiers.KillTier = int(c.bTiers[i])
-		res.CE = &CounterExample{Params: c.src.Params,
-			SrcRet: rs.Ret.Clone(), TgtRet: rt.Ret.Clone(),
-			SrcUB: rs.UB, TgtUB: rt.UB, TgtWhy: rt.UBReason, MemDiff: diff}
-		return i
+	c.se.RunBatchFilled(n, srcMems)
+	c.te.RunBatchFilled(n, tgtMems)
+	i, diff := c.firstViolation()
+	m := n
+	if i >= 0 {
+		m = i + 1
 	}
-	return -1
+	res.Checked += m
+	res.Tiers.Batched += m
+	c.tiers.count(&res.Tiers, m)
+	if i < 0 {
+		return -1
+	}
+	rs, rt := c.se.Result(i), c.te.Result(i)
+	res.Verdict = Incorrect
+	res.Tiers.KillTier = c.tiers.tier(i)
+	res.CE = &CounterExample{Params: c.src.Params,
+		SrcRet: rs.Ret.Clone(), TgtRet: rt.Ret.Clone(),
+		SrcUB: rs.UB, TgtUB: rt.UB, TgtWhy: rt.UBReason, MemDiff: diff}
+	return i
 }
 
-// initBatch wires the per-slot argument views straight into the source
-// evaluator's input columns (one RVal view per batch slot and parameter),
-// so filling a batch writes the arena directly and the target side needs
-// only one bulk column copy per parameter. Pairs with pointer parameters
-// also build the per-lane slab memories, the per-slot fill snapshots behind
-// counterexamples, and the raw-pointer-word save area.
+// firstViolation scans the slots of the last run in order and returns the
+// first that violates refinement, with its memory diff (if that is the
+// violation), or -1. Only slots where the source returned without UB and
+// the target completed constrain the target: source UB allows anything,
+// and a run out of budget is inconclusive.
+func (c *Checker) firstViolation() (int, string) {
+	sDone, sUB := c.se.Outcome()
+	tDone, tUB := c.te.Outcome()
+	retVoid := ir.IsVoid(c.src.Ret)
+	fpBits := retFPBits(c.src.Ret)
+	for m := sDone &^ sUB & tDone; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		if tUB&(1<<uint(b)) != 0 {
+			return b, ""
+		}
+		switch {
+		case retVoid:
+		case !refinesLanes(c.se.RetLanes(b), c.te.RetLanes(b), fpBits):
+			return b, ""
+		}
+		if c.srcBM != nil {
+			if diff := memDiff(c.srcBM.Mems[b], c.tgtBM.Mems[b]); diff != "" {
+				return b, diff
+			}
+		}
+	}
+	return -1, ""
+}
+
+// initBatch wires the batch state to the evaluators' input columns. Pairs
+// with pointer parameters also build the per-lane slab memories and the
+// raw-pointer-word save area.
 func (c *Checker) initBatch() {
 	np := len(c.src.Params)
-	c.bTiers = make([]int8, interp.BatchWidth)
-	c.srcRes = make([]interp.Result, interp.BatchWidth)
-	c.tgtRes = make([]interp.Result, interp.BatchWidth)
 	c.srcCols = make([][]interp.Word, np)
 	c.tgtCols = make([][]interp.Word, np)
-	for i := range c.src.Params {
+	c.lanes = make([]int, np)
+	for i, p := range c.src.Params {
 		c.srcCols[i] = c.se.ArgColumn(i)
 		c.tgtCols[i] = c.te.ArgColumn(i)
+		c.lanes[i] = ir.Lanes(p.Ty)
 	}
-	c.bArgs = make([][]interp.RVal, interp.BatchWidth)
-	vals := make([]interp.RVal, interp.BatchWidth*np)
-	for b := 0; b < interp.BatchWidth; b++ {
-		args := vals[b*np : (b+1)*np : (b+1)*np]
-		for i, p := range c.src.Params {
-			n := ir.Lanes(p.Ty)
-			args[i] = interp.RVal{Ty: p.Ty, Lanes: c.srcCols[i][b*n : (b+1)*n : (b+1)*n]}
-		}
-		c.bArgs[b] = args
-	}
+	c.memIdx = make([]int, interp.BatchWidth)
 	if len(c.ptrParams) == 0 {
 		return
 	}
@@ -502,16 +523,6 @@ func (c *Checker) initBatch() {
 	c.ptrSave = make([][]interp.Word, len(c.ptrParams))
 	for j := range c.ptrSave {
 		c.ptrSave[j] = make([]interp.Word, interp.BatchWidth)
-	}
-	c.bFills = make([][][]byte, interp.BatchWidth)
-	fillBuf := make([]byte, interp.BatchWidth*len(c.ptrParams)*c.opts.MemSize)
-	for b := range c.bFills {
-		fl := make([][]byte, len(c.ptrParams))
-		for j := range fl {
-			off := (b*len(c.ptrParams) + j) * c.opts.MemSize
-			fl[j] = fillBuf[off : off+c.opts.MemSize : off+c.opts.MemSize]
-		}
-		c.bFills[b] = fl
 	}
 }
 

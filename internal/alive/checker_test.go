@@ -143,22 +143,53 @@ func TestCheckerCounterexampleIsStable(t *testing.T) {
 	}
 }
 
-// TestVerifySteadyStateAllocs pins the perf contract of the tentpole: a full
-// sampled Verify over the clamp window stays under a small constant
-// allocation budget (the seed path allocated ~30k times for the same work).
+// satUmaxSrc/satUmaxTgt are an exhaustively checked i8 x i8 pair (65536
+// vectors plus poison trials, 1025 batches) with intrinsics on both sides.
+const satUmaxSrc = `define i8 @src(i8 %x, i8 %y) {
+  %m = call i8 @llvm.umax.i8(i8 %x, i8 %y)
+  %r = sub i8 %m, %y
+  ret i8 %r
+}`
+
+const satUmaxTgt = `define i8 @tgt(i8 %x, i8 %y) {
+  %r = call i8 @llvm.usub.sat.i8(i8 %x, i8 %y)
+  ret i8 %r
+}`
+
+// TestVerifySteadyStateAllocs pins the perf contract of the checker: a full
+// sampled Verify over the clamp window and a full exhaustive Verify over an
+// i8 x i8 pair each stay under a small constant allocation budget (the
+// seed path allocated ~30k times for the sampled work). The exhaustive
+// pair runs 1025 batches, so a single allocation per batch breaks the
+// budget.
 func TestVerifySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by the race runtime")
 	}
-	src := parser.MustParseFunc(clampSrc)
-	tgt := parser.MustParseFunc(clampTgt)
-	opts := Options{Seed: 2, Samples: 1024, Programs: interp.NewCache()}
-	Verify(src, tgt, opts) // warm the program cache
-	allocs := testing.AllocsPerRun(5, func() {
-		Verify(src, tgt, opts)
-	})
-	if allocs > 200 {
-		t.Fatalf("Verify allocates %.0f times per call, want O(1) (<200)", allocs)
+	for _, tc := range []struct {
+		name, src, tgt string
+		opts           Options
+		exhaustive     bool
+	}{
+		{"sampled-clamp", clampSrc, clampTgt, Options{Seed: 2, Samples: 1024}, false},
+		{"exhaustive-i8xi8", satUmaxSrc, satUmaxTgt, Options{Seed: 2}, true},
+	} {
+		src := parser.MustParseFunc(tc.src)
+		tgt := parser.MustParseFunc(tc.tgt)
+		opts := tc.opts
+		opts.Programs = interp.NewCache()
+		r := Verify(src, tgt, opts) // warm the program cache
+		if r.Verdict != Correct || r.Exhaustive != tc.exhaustive {
+			t.Fatalf("%s: verdict %v exhaustive %v", tc.name, r.Verdict, r.Exhaustive)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			Verify(src, tgt, opts)
+		})
+		if allocs > 200 {
+			t.Fatalf("%s: Verify allocates %.0f times per call over %d vectors, want O(1) (<200)",
+				tc.name, allocs, r.Checked)
+		}
+		t.Logf("%s: %.0f allocations per Verify over %d vectors", tc.name, allocs, r.Checked)
 	}
 }
 

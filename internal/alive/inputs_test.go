@@ -149,9 +149,63 @@ func fmtVec(args []interp.RVal, mem [][]byte) string {
 	return s
 }
 
+// colStream reads the generated sequence through the batch path, fill into
+// BatchWidth-slot columns laid out like the checker's, one slot at a time.
+type colStream struct {
+	g      *inputGen
+	cols   [][]interp.Word
+	memIdx []int
+	tiers  batchTiers
+	n, b   int
+}
+
+func newColStream(f *ir.Func, opts Options) *colStream {
+	s := &colStream{g: newInputGen(f, opts), memIdx: make([]int, interp.BatchWidth)}
+	for _, p := range f.Params {
+		s.cols = append(s.cols, make([]interp.Word, ir.Lanes(p.Ty)*interp.BatchWidth))
+	}
+	return s
+}
+
+// next advances to the following slot, refilling a batch when the current
+// one is used up. On a refill it checks the batch's per-batch tier counts
+// against the per-slot tiers for every prefix of the batch.
+func (s *colStream) next(t *testing.T) bool {
+	if s.b++; s.b < s.n {
+		return true
+	}
+	s.n, s.b = s.g.fill(s.cols, s.memIdx, &s.tiers), 0
+	var perSlot TierStats
+	for m := 0; m <= s.n; m++ {
+		var perBatch TierStats
+		s.tiers.count(&perBatch, m)
+		if perBatch != perSlot {
+			t.Fatalf("tier counts of a %d-slot prefix: per batch %+v, per slot %+v", m, perBatch, perSlot)
+		}
+		if m < s.n {
+			perSlot.count(s.tiers.tier(m))
+		}
+	}
+	return s.n > 0
+}
+
+// vec formats the current slot like fmtVec, with its tier.
+func (s *colStream) vec() (string, int) {
+	args := make([]interp.RVal, len(s.g.params))
+	for i, p := range s.g.params {
+		L := s.g.lanes[i]
+		args[i] = interp.RVal{Ty: p.Ty, Lanes: s.cols[i][s.b*L : (s.b+1)*L]}
+	}
+	return fmtVec(args, s.g.fills[s.memIdx[s.b]]), s.tiers.tier(s.b)
+}
+
 // TestStreamingInputGenMatchesEagerReference locks the streaming generator
 // to the historic eager queue: same length, same values, same memory fills,
-// same order, for a spread of signatures and seeds.
+// same order, for a spread of signatures and seeds. The batch path (fill
+// into BatchWidth-slot columns) must emit the same sequence as next() slot
+// for slot, with the same tiers and memories, including the shapes whose
+// exhaustive space is not a multiple of the batch width (so the exhaustive
+// phase hands over to the poison trials in the middle of a batch).
 func TestStreamingInputGenMatchesEagerReference(t *testing.T) {
 	funcs := []string{
 		`define i8 @f(i8 %x, i8 %y) { %r = add i8 %x, %y ret i8 %r }`,                               // exhaustive
@@ -161,6 +215,13 @@ func TestStreamingInputGenMatchesEagerReference(t *testing.T) {
 		`define i8 @f(ptr %p) { %r = load i8, ptr %p ret i8 %r }`,                                   // exhaustive + memory
 		`define i16 @f(ptr %p, ptr %q, i32 %x) { %r = trunc i32 %x to i16 ret i16 %r }`,             // sampled + two regions
 		`define i8 @f() { ret i8 7 }`,                                                               // no params
+		`define i1 @f(i1 %x) { ret i1 %x }`,                                                         // batch edges: 2 vectors
+		`define i3 @f(i3 %x) { ret i3 %x }`,                                                         // 8
+		`define i5 @f(i5 %x) { ret i5 %x }`,                                                         // 32
+		`define i1 @f(i1 %x, i1 %y, i1 %z) { %a = and i1 %x, %y %r = or i1 %a, %z ret i1 %r }`,      // 8, three poison params
+		`define i4 @f(i4 %x, i2 %y) { %z = zext i2 %y to i4 %r = add i4 %x, %z ret i4 %r }`,         // 64 + poison
+		`define i8 @f(ptr %p, i8 %x) { %v = load i8, ptr %p %r = add i8 %v, %x ret i8 %r }`,         // 256 x fills
+		`define <2 x i4> @f(<2 x i4> %v, i3 %s) { ret <2 x i4> %v }`,                                // 2-lane exhaustive
 	}
 	for fi, src := range funcs {
 		f := parser.MustParseFunc(src)
@@ -171,6 +232,7 @@ func TestStreamingInputGenMatchesEagerReference(t *testing.T) {
 			if g.exhaustive != wantExh {
 				t.Fatalf("func %d seed %d: exhaustive=%v, want %v", fi, seed, g.exhaustive, wantExh)
 			}
+			cs := newColStream(f, opts)
 			i := 0
 			for g.next() {
 				if i >= len(want) {
@@ -181,10 +243,20 @@ func TestStreamingInputGenMatchesEagerReference(t *testing.T) {
 				if got != exp {
 					t.Fatalf("func %d seed %d vector %d differs:\ngot  %s\nwant %s", fi, seed, i, got, exp)
 				}
+				if !cs.next(t) {
+					t.Fatalf("func %d seed %d: batch path ends at vector %d", fi, seed, i)
+				}
+				if col, tier := cs.vec(); col != got || tier != g.tier() {
+					t.Fatalf("func %d seed %d vector %d: batch path differs from next:\nbatch %s (tier %d)\nnext  %s (tier %d)",
+						fi, seed, i, col, tier, got, g.tier())
+				}
 				i++
 			}
 			if i != len(want) {
 				t.Fatalf("func %d seed %d: streaming emitted %d vectors, eager %d", fi, seed, i, len(want))
+			}
+			if cs.next(t) {
+				t.Fatalf("func %d seed %d: batch path emits more than %d vectors", fi, seed, i)
 			}
 		}
 	}

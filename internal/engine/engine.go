@@ -518,6 +518,7 @@ func (e *Engine) learn(src, cand *ir.Func, seq *extract.Sequence) *generalize.Ru
 			res = generalize.Generalize(src, cand, e.cfg.Generalize)
 		})
 		e.stats.recordStage(StageGeneralize, time.Since(start).Seconds())
+		e.stats.recordGeneralize(res.Checked)
 		if err != nil || res.Rule == nil {
 			// A timed-out sweep learns nothing; the finding itself stands.
 			return

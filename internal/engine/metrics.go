@@ -44,6 +44,11 @@ type Stats struct {
 	verifyExecs                          int
 	batchedExecs, fallbackExecs          int
 
+	// generalizeExecs counts the input vectors the generalize stage's
+	// width sweeps executed. It is kept apart from verifyExecs, which
+	// counts the verify stage only.
+	generalizeExecs int
+
 	// Lift-coverage counters (wasm frontend): how many functions the wasm
 	// lifter saw across submitted modules, how many made it into the
 	// engine, and why the rest were skipped.
@@ -134,6 +139,13 @@ func (s *Stats) recordVerify(checked int, tiers alive.TierStats) {
 	case alive.TierRandom:
 		s.randomKills++
 	}
+}
+
+// recordGeneralize tallies the input vectors one generalize run executed.
+func (s *Stats) recordGeneralize(checked int) {
+	s.mu.Lock()
+	s.generalizeExecs += checked
+	s.mu.Unlock()
 }
 
 // RecordLift folds one module's wasm lift coverage into the run's stats.
@@ -258,6 +270,15 @@ func (s *Stats) VerifyExecs() int {
 	return s.verifyExecs
 }
 
+// GeneralizeExecs is the total number of input vectors the generalize
+// stage's width sweeps executed (Config.Learn). VerifyExecs does not
+// include them.
+func (s *Stats) GeneralizeExecs() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.generalizeExecs
+}
+
 // BatchExecs splits VerifyExecs by execution path: vectors run on the
 // lane-batched interpreter versus vectors run by the reference interpreter
 // (alive.TierStats.Fallback, which the Checker never produces, so fallback
@@ -304,6 +325,7 @@ func (s *Stats) Reset() {
 	s.poolKills, s.specialKills, s.randomKills = 0, 0, 0
 	s.verifyExecs = 0
 	s.batchedExecs, s.fallbackExecs = 0, 0
+	s.generalizeExecs = 0
 	s.lift = wasm.LiftStats{}
 }
 
@@ -323,7 +345,13 @@ func (s *Stats) Print(w io.Writer) {
 	fmt.Fprintf(w, "usage: %d in / %d out tokens, %.1f virtual s, $%.4f\n",
 		s.usage.InputTokens, s.usage.OutputTokens, s.usage.VirtualSeconds, s.usage.CostUSD)
 	for _, name := range StageNames() {
-		if m := s.stages[name]; m != nil {
+		m := s.stages[name]
+		switch {
+		case m == nil:
+		case name == StagePropose:
+			// The provider's throughput model, not wall time.
+			fmt.Fprintf(w, "stage %-11s %6d calls, %8.2f virtual s\n", name, m.Invocations, m.Seconds)
+		default:
 			fmt.Fprintf(w, "stage %-11s %6d calls, %8.2fs\n", name, m.Invocations, m.Seconds)
 		}
 	}
@@ -338,6 +366,9 @@ func (s *Stats) Print(w io.Writer) {
 			s.verifyExecs, s.poolKills, s.specialKills, s.randomKills)
 		fmt.Fprintf(w, "batch coverage: %.1f%% (%d batched, %d per-vector fallback)\n",
 			100*float64(s.batchedExecs)/float64(s.verifyExecs), s.batchedExecs, s.fallbackExecs)
+	}
+	if s.generalizeExecs > 0 {
+		fmt.Fprintf(w, "generalize executions: %d vectors\n", s.generalizeExecs)
 	}
 	if s.lift.Funcs > 0 {
 		fmt.Fprintf(w, "wasm lift coverage: %s\n", s.lift.String())

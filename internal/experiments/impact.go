@@ -57,30 +57,35 @@ func RunTable5(seed uint64) *Table5Report {
 	baseline := engine.ParMap(ctx, 0, fns, func(_ context.Context, _ int, f fnRef) uint64 {
 		return ir.Hash(opt.RunO3(f.fn))
 	})
-	// Min-of-N over a multi-pass timing window keeps the wall-clock
-	// measurement stable enough for the percent-level deltas the paper
-	// reports (single passes over the corpus are tens of milliseconds and
-	// far too noisy on shared machines). The rule selection is prebuilt
+	// Each row times the baseline and the patched rule set in alternating
+	// reps and keeps the minimum of each, so host load that drifts during
+	// the run hits both sides of a row alike instead of skewing rows timed
+	// late against a baseline timed once at the start. Every rep is a
+	// multi-pass window: single passes over the corpus are tens of
+	// milliseconds and far too noisy on shared machines for the
+	// percent-level deltas the paper reports. Rule selections are prebuilt
 	// outside the window, exactly like a compiler builds its pass pipeline
 	// once per invocation, so the delta isolates the patch's per-function
 	// cost.
-	const passes = 8
-	timeAll := func(rules *opt.RuleSet) time.Duration {
-		best := time.Duration(1<<62 - 1)
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			for p := 0; p < passes; p++ {
-				for _, f := range fns {
-					opt.Run(f.fn, opt.Options{Rules: rules})
-				}
-			}
-			if d := time.Since(start); d < best {
-				best = d
+	const passes, reps = 8, 3
+	timeOnce := func(rules *opt.RuleSet) time.Duration {
+		start := time.Now()
+		for p := 0; p < passes; p++ {
+			for _, f := range fns {
+				opt.Run(f.fn, opt.Options{Rules: rules})
 			}
 		}
-		return best
+		return time.Since(start)
 	}
-	baseTime := timeAll(opt.NewRuleSet(opt.Options{}))
+	baseSet := opt.NewRuleSet(opt.Options{})
+	timeRow := func(patchSet *opt.RuleSet) (base, patch time.Duration) {
+		base, patch = time.Duration(1<<62-1), time.Duration(1<<62-1)
+		for rep := 0; rep < reps; rep++ {
+			base = min(base, timeOnce(baseSet))
+			patch = min(patch, timeOnce(patchSet))
+		}
+		return base, patch
+	}
 
 	rep := &Table5Report{}
 	for _, row := range benchdata.Table5() {
@@ -96,7 +101,7 @@ func RunTable5(seed uint64) *Table5Report {
 				prjs[f.project] = true
 			}
 		}
-		patchTime := timeAll(patchSet)
+		baseTime, patchTime := timeRow(patchSet)
 		delta := (patchTime.Seconds() - baseTime.Seconds()) / baseTime.Seconds() * 100
 		rep.Rows = append(rep.Rows, Table5Row{
 			PatchID: row.PatchID, IRFiles: len(modules), Projects: len(prjs),

@@ -73,6 +73,9 @@ type Result struct {
 	// Rejected lists refuted over-generalizations, capped; it may be
 	// non-empty even on success when a broader candidate was tried first.
 	Rejected []Rejection
+	// Checked is the number of input vectors the width sweeps executed,
+	// summed over every candidate and width tried.
+	Checked int
 }
 
 const maxRejections = 8
@@ -188,6 +191,9 @@ func Generalize(src, tgt *ir.Func, opts Options) Result {
 			}
 			return s, t, nil
 		})
+		for _, wr := range wrs {
+			res.Checked += wr.Checked
+		}
 		survived := true
 		for _, wr := range wrs {
 			if wr.Verdict != alive.Correct {

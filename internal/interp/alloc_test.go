@@ -26,19 +26,18 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 }`)
 	ev := NewEvaluator(Compile(f))
 	col := ev.ArgColumn(0)
-	out := make([]Result, BatchWidth)
 	run := func() {
 		for b := range col {
 			col[b] = Word{V: uint64(b*97) & ir.MaskW(32)}
 		}
-		ev.RunBatchFilled(BatchWidth, out, nil)
+		ev.RunBatchFilled(BatchWidth, nil)
 	}
 	run()
 	allocs := testing.AllocsPerRun(200, run)
 	if allocs != 0 {
 		t.Fatalf("steady-state RunBatchFilled allocates %.1f times per batch, want 0", allocs)
 	}
-	if !out[0].Completed || out[0].UB {
-		t.Fatalf("unexpected result %+v", out[0])
+	if r := ev.Result(0); !r.Completed || r.UB {
+		t.Fatalf("unexpected result %+v", r)
 	}
 }

@@ -43,9 +43,10 @@ import (
 const BatchWidth = 64
 
 // batchKind classifies one compiled instruction for the batch executor.
-// Specialized kinds have a dedicated batch kernel over scalar registers;
-// everything else runs through the shared evalOp kernels one vector at a
-// time (still amortizing the interpreter loop, not the kernel dispatch).
+// Specialized kinds have a dedicated whole-batch kernel over scalar
+// registers; everything else runs through the shared evalOp kernels one
+// vector at a time (still amortizing the interpreter loop, not the kernel
+// dispatch).
 type batchKind uint8
 
 const (
@@ -56,7 +57,7 @@ const (
 	bkICmp
 	bkSelect
 	bkConvInt
-	bkMinMax
+	bkCall
 	bkFreeze
 )
 
@@ -72,7 +73,10 @@ func (k batchKind) specialized() bool {
 // classifyBatch picks the batch kernel for one compiled instruction.
 // Specialization requires a scalar result and scalar operands (one lane
 // each); vector instructions and rare opcodes keep the shared evalOp
-// kernels via the per-vector generic path.
+// kernels via the per-vector generic path. Calls specialize when they name
+// a supported intrinsic with all its value operands present and, for
+// abs/ctlz/cttz, a constant flag operand (a register flag is read per lane
+// on the generic path).
 func classifyBatch(p *Program, ci *cinstr) batchKind {
 	switch ci.in.Op {
 	case ir.OpRet:
@@ -103,11 +107,11 @@ func classifyBatch(p *Program, ci *cinstr) batchKind {
 		return bkFreeze
 	case ci.in.Op == ir.OpZExt, ci.in.Op == ir.OpSExt, ci.in.Op == ir.OpTrunc:
 		return bkConvInt
-	case ci.in.Op == ir.OpCall:
-		switch ir.IntrinsicBase(ci.in.Callee) {
-		case "umin", "umax", "smin", "smax":
-			return bkMinMax
+	case ci.in.Op == ir.OpCall && ci.intr != intrNone && len(ci.args) >= ci.intr.arity():
+		if ci.intr.flagged() && len(ci.args) > 1 && ci.args[1] >= 0 {
+			return bkGeneric
 		}
+		return bkCall
 	}
 	return bkGeneric
 }
@@ -123,11 +127,16 @@ func (ev *Evaluator) RunBatch(envs []Env, out []Result) {
 		panic("interp: RunBatch needs len(out) >= len(envs)")
 	}
 	for base := 0; base < len(envs); base += BatchWidth {
-		hi := base + BatchWidth
-		if hi > len(envs) {
-			hi = len(envs)
+		hi := min(base+BatchWidth, len(envs))
+		ev.runBatchChunk(envs[base:hi])
+		ev.results(out[base:hi])
+		if hi < len(envs) {
+			// Detach the chunk's return values from the arena the next
+			// chunk reuses.
+			for b := base; b < hi; b++ {
+				out[b].Ret = out[b].Ret.Clone()
+			}
 		}
-		ev.runBatchChunk(envs[base:hi], out[base:hi], hi < len(envs))
 	}
 }
 
@@ -146,12 +155,14 @@ func (ev *Evaluator) ArgColumn(i int) []Word {
 // RunBatchFilled executes the first n batch lanes against inputs the caller
 // already wrote into the ArgColumn runs, with default step budgets. mems
 // optionally carries one memory per lane (nil entries and a nil slice mean
-// no memory, as for an Env without Mem). Results are written like RunBatch.
-// n must be <= BatchWidth.
-func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) {
-	if n > BatchWidth || len(out) < n {
+// no memory, as for an Env without Mem). The outcome stays in the
+// evaluator: Outcome gives it as lane masks, RetLanes a lane's return
+// value and Result a lane's full Result. n must be <= BatchWidth.
+func (ev *Evaluator) RunBatchFilled(n int, mems []*Memory) {
+	if n > BatchWidth {
 		panic("interp: RunBatchFilled bounds")
 	}
+	ev.done, ev.ub = 0, 0
 	for b := 0; b < n; b++ {
 		ev.alive[b] = true
 	}
@@ -165,27 +176,109 @@ func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) {
 		}
 	}
 	if ev.p.straight {
-		ev.runBatchCore(n, out, nil, defaultMaxSteps, n)
+		ev.runBatchCore(n, nil, defaultMaxSteps, n)
 	} else {
-		ev.runBatchBlocks(n, out, nil)
+		ev.runBatchBlocks(n, nil)
 	}
 }
 
-// runBatchChunk executes one chunk of at most BatchWidth environments on the
-// lane-batched fast path. cloneRets detaches the chunk's return values from
-// the shared batch arena (needed for every chunk but the last, whose Rets
-// stay valid until the next RunBatch).
-func (ev *Evaluator) runBatchChunk(envs []Env, out []Result, cloneRets bool) {
+// Outcome reports the last run as lane masks: done holds the lanes that
+// completed (returned, or stopped at undefined behaviour), ub the lanes
+// that stopped at undefined behaviour. A lane in neither ran out of its
+// step budget. Bit b is batch lane b.
+func (ev *Evaluator) Outcome() (done, ub uint64) { return ev.done, ev.ub }
+
+// RetLanes returns the return value lanes of batch lane b, which must have
+// returned normally in the last run (done and not ub); nil for a void
+// return. The slice aliases the evaluator's scratch until the next run.
+func (ev *Evaluator) RetLanes(b int) []Word {
+	ci := &ev.p.code[ev.retAt[b]]
+	if len(ci.args) == 0 {
+		return nil
+	}
+	slot := ci.args[0]
+	if slot >= 0 {
+		return ev.laneView(slot, b)
+	}
+	e := &ev.p.consts[^slot]
+	if e.dyn == nil {
+		return e.rv.Lanes
+	}
+	// Gathered into lane b's run of the buffer when the lane returned.
+	n := len(e.dyn.elems)
+	return ev.dynBuf[^slot][b*n : (b+1)*n : (b+1)*n]
+}
+
+// Result materializes batch lane b's outcome of the last run, exactly as
+// Exec would report it for that vector. Its Ret aliases the evaluator's
+// scratch like RetLanes.
+func (ev *Evaluator) Result(b int) Result {
+	bit := uint64(1) << uint(b)
+	switch {
+	case ev.ub&bit != 0:
+		return Result{UB: true, UBReason: ev.why[b], Completed: true, DynInstrs: ev.dyn[b]}
+	case ev.done&bit == 0:
+		return Result{DynInstrs: ev.dyn[b]}
+	}
+	r := Result{Completed: true, DynInstrs: ev.dyn[b]}
+	if ci := &ev.p.code[ev.retAt[b]]; len(ci.args) > 0 {
+		r.Ret = RVal{Ty: ci.in.Args[0].Type(), Lanes: ev.RetLanes(b)}
+	}
+	return r
+}
+
+// results writes the Results of the last run's first len(out) lanes into
+// out.
+func (ev *Evaluator) results(out []Result) {
+	for b := range out {
+		out[b] = ev.Result(b)
+	}
+}
+
+// laneView returns batch lane b's run of register r.
+func (ev *Evaluator) laneView(r int32, b int) []Word {
+	L := int(ev.p.regLanes[r])
+	base := int(ev.p.regOff[r])*BatchWidth + b*L
+	return ev.words[base : base+L : base+L]
+}
+
+// retire records that lane b returned through the ret at code index gi
+// after steps instructions.
+func (ev *Evaluator) retire(b, gi, steps int) {
+	ev.done |= 1 << uint(b)
+	ev.dyn[b] = steps
+	ev.retAt[b] = int32(gi)
+	ev.alive[b] = false
+}
+
+// fail records that lane b stopped at undefined behaviour after steps
+// instructions.
+func (ev *Evaluator) fail(b int, why string, steps int) {
+	ev.done |= 1 << uint(b)
+	ev.ub |= 1 << uint(b)
+	ev.why[b] = why
+	ev.dyn[b] = steps
+	ev.alive[b] = false
+}
+
+// exhaust records that lane b ran out of its step budget at steps.
+func (ev *Evaluator) exhaust(b, steps int) {
+	ev.dyn[b] = steps
+	ev.alive[b] = false
+}
+
+// runBatchChunk scatters one chunk of at most BatchWidth environments into
+// the batch arena and runs it; the outcome stays in the evaluator.
+func (ev *Evaluator) runBatchChunk(envs []Env) {
 	p := ev.p
 	B := len(envs)
 	live := 0
 	minMax := defaultMaxSteps
+	ev.done, ev.ub = 0, 0
 	for b := 0; b < B; b++ {
 		if len(envs[b].Args) != len(p.fn.Params) {
-			out[b] = Result{UB: true, Completed: true,
-				UBReason: fmt.Sprintf("argument count mismatch: have %d, want %d",
-					len(envs[b].Args), len(p.fn.Params))}
-			ev.alive[b] = false
+			ev.fail(b, fmt.Sprintf("argument count mismatch: have %d, want %d",
+				len(envs[b].Args), len(p.fn.Params)), 0)
 			continue
 		}
 		if ms := envs[b].MaxSteps; ms != 0 && ms < minMax {
@@ -237,31 +330,73 @@ func (ev *Evaluator) runBatchChunk(envs []Env, out []Result, cloneRets bool) {
 		}
 	}
 	if p.straight {
-		ev.runBatchCore(B, out, envs, minMax, live)
+		ev.runBatchCore(B, envs, minMax, live)
 	} else {
-		ev.runBatchBlocks(B, out, envs)
-	}
-	if cloneRets {
-		for b := 0; b < B; b++ {
-			out[b].Ret = out[b].Ret.Clone()
-		}
+		ev.runBatchBlocks(B, envs)
 	}
 }
 
-// runBatchCore is the shared execution loop: arguments are already in the
-// batch arena and ev.alive/live describe the runnable lanes. envs is only
-// consulted for per-lane step budgets and may be nil (default budgets).
-func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live int) {
+// runKernel runs a specialized instruction's whole-batch kernel over the
+// first B lanes (only live lanes are written).
+func (ev *Evaluator) runKernel(gi int, ci *cinstr, B int, kill func(int, string)) {
+	dst, args := ev.bdst[gi], ev.bargs[gi]
+	switch ev.p.kinds[gi] {
+	case bkIntBin:
+		batchIntBin(ci.in, dst, args, ev.alive, B, kill)
+	case bkICmp:
+		batchICmp(ci.in, dst, args, ev.alive, B)
+	case bkSelect:
+		batchSelect(dst, args, ev.alive, B)
+	case bkConvInt:
+		batchConvInt(ci.in, dst, args, ev.alive, B)
+	case bkCall:
+		batchCall(ci, dst, args, ev.alive, B)
+	case bkFreeze:
+		batchFreeze(dst, args, ev.alive, B)
+	}
+}
+
+// genericArgs prepares ev.argBuf for a generic instruction: operand types
+// and static constants are set once per instruction, so the lane loop only
+// points register (and dynamic constant) operands at each lane's words.
+func (ev *Evaluator) genericArgs(ci *cinstr) []RVal {
+	args := ev.argBuf[:len(ci.args)]
+	for k, slot := range ci.args {
+		if slot < 0 && ev.p.consts[^slot].dyn == nil {
+			args[k] = ev.p.consts[^slot].rv
+		} else {
+			args[k] = RVal{Ty: ci.in.Args[k].Type()}
+		}
+	}
+	return args
+}
+
+// evalGeneric runs one generic instruction for lane b: a resolved
+// intrinsic goes straight to its kernel, everything else through evalOp.
+func (ev *Evaluator) evalGeneric(ci *cinstr, dst []Word, args []RVal, b int) (bool, string) {
+	if ci.intr != intrNone {
+		evalIntrinsic(ci.intr, ir.ScalarBits(ir.Elem(ci.in.Ty)), dst, args)
+		return false, ""
+	}
+	mem := ev.emptyMem
+	if ev.p.hasMem {
+		mem = ev.mems[b]
+	}
+	return evalOp(ci.in, dst, args, mem, &ev.sc)
+}
+
+// runBatchCore is the straight-line execution loop: arguments are already
+// in the batch arena and ev.alive/live describe the runnable lanes. envs is
+// only consulted for per-lane step budgets and may be nil (default
+// budgets).
+func (ev *Evaluator) runBatchCore(B int, envs []Env, minMax, live int) {
 	p := ev.p
 
-	// kill retires lane b with UB. Lanes retire at most once, and every
-	// retirement writes the full Result, so out needs no up-front zeroing.
-	// step tracks the current instruction (uniform across lanes on the
-	// straight-line path).
+	// kill retires lane b with UB at the current instruction (uniform
+	// across lanes on the straight-line path).
 	step := 0
 	kill := func(b int, why string) {
-		out[b] = Result{UB: true, UBReason: why, Completed: true, DynInstrs: step}
-		ev.alive[b] = false
+		ev.fail(b, why, step)
 		live--
 	}
 
@@ -278,8 +413,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 					ms = envs[b].MaxSteps
 				}
 				if step > ms {
-					out[b] = Result{Completed: false, DynInstrs: step}
-					ev.alive[b] = false
+					ev.exhaust(b, step)
 					live--
 				}
 			}
@@ -287,105 +421,44 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 				break
 			}
 		}
-		switch p.kinds[gi] {
-		case bkRet:
-			hasRet := len(ci.in.Args) == 1
-			var retTy ir.Type
-			var slot, retL, retBase int32
-			var constRet RVal
-			if hasRet {
-				retTy = ci.in.Args[0].Type()
-				slot = ci.args[0]
-				if slot >= 0 {
-					retL = p.regLanes[slot]
-					retBase = p.regOff[slot] * BatchWidth
-				} else {
-					constRet = p.consts[^slot].rv
+		switch k := p.kinds[gi]; {
+		case k == bkRet:
+			alive, dyn, retAt := ev.alive[:B], ev.dyn[:B], ev.retAt[:B]
+			var done uint64
+			for b := range alive {
+				if alive[b] {
+					done |= 1 << uint(b)
+					dyn[b] = step
+					retAt[b] = int32(gi)
+					alive[b] = false
 				}
 			}
-			for b := 0; b < B; b++ {
-				if !ev.alive[b] {
-					continue
-				}
-				// Lane b's ret view is the same arena slice on every call,
-				// so when the caller reuses its out buffer (the checker's
-				// steady state) the pointer fields are already correct —
-				// skipping the rewrite avoids a GC write barrier per lane
-				// on the hottest line of the batch path.
-				r := &out[b]
-				if r.UB || r.UBReason != "" {
-					r.UB = false
-					r.UBReason = ""
-				}
-				r.Completed = true
-				r.DynInstrs = step
-				if hasRet {
-					if slot >= 0 {
-						lo := retBase + int32(b)*retL
-						lanes := ev.words[lo : lo+retL : lo+retL]
-						// A matching lane pointer can only come from this
-						// same ret view (registers never share arena
-						// offsets), so the Ty is already right too — no
-						// interface compare needed.
-						if len(r.Ret.Lanes) != int(retL) || &r.Ret.Lanes[0] != &lanes[0] {
-							r.Ret = RVal{Ty: retTy, Lanes: lanes}
-						}
-					} else if len(r.Ret.Lanes) != len(constRet.Lanes) ||
-						len(constRet.Lanes) == 0 || &r.Ret.Lanes[0] != &constRet.Lanes[0] {
-						r.Ret = constRet
-					}
-				} else if r.Ret.Lanes != nil || r.Ret.Ty != nil {
-					r.Ret = RVal{}
-				}
-				ev.alive[b] = false
-			}
+			ev.done |= done
 			live = 0
-		case bkUnreachable:
+		case k == bkUnreachable:
 			for b := 0; b < B; b++ {
 				if ev.alive[b] {
 					kill(b, "reached unreachable")
 				}
 			}
-		case bkIntBin:
-			batchIntBin(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B, kill)
-		case bkICmp:
-			batchICmp(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
-		case bkSelect:
-			batchSelect(ev.bdst[gi], ev.bargs[gi], ev.alive, B)
-		case bkConvInt:
-			batchConvInt(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
-		case bkMinMax:
-			batchMinMax(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
-		case bkFreeze:
-			batchFreeze(ev.bdst[gi], ev.bargs[gi], ev.alive, B)
-		default: // bkGeneric: shared evalOp kernels, one vector at a time.
-			na := len(ci.args)
+		case k.specialized():
+			ev.runKernel(gi, ci, B, kill)
+		default: // bkGeneric: shared kernels, one vector at a time.
+			args := ev.genericArgs(ci)
 			for b := 0; b < B; b++ {
 				if !ev.alive[b] {
 					continue
 				}
-				args := ev.argBuf[:na]
 				for k, slot := range ci.args {
 					if slot >= 0 {
-						L := int(p.regLanes[slot])
-						base := int(p.regOff[slot]) * BatchWidth
-						args[k] = RVal{Ty: ci.in.Args[k].Type(),
-							Lanes: ev.words[base+b*L : base+(b+1)*L : base+(b+1)*L]}
-					} else {
-						args[k] = p.consts[^slot].rv
+						args[k].Lanes = ev.laneView(slot, b)
 					}
 				}
 				var dst []Word
 				if ci.dst >= 0 {
-					L := int(p.regLanes[ci.dst])
-					base := int(p.regOff[ci.dst]) * BatchWidth
-					dst = ev.words[base+b*L : base+(b+1)*L : base+(b+1)*L]
+					dst = ev.laneView(ci.dst, b)
 				}
-				mem := ev.emptyMem
-				if p.hasMem {
-					mem = ev.mems[b]
-				}
-				if ub, why := evalOp(ci.in, dst, args, mem, &ev.sc); ub {
+				if ub, why := ev.evalGeneric(ci, dst, args, b); ub {
 					kill(b, why)
 				}
 			}
@@ -413,7 +486,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 // semantics — including UB reasons and DynInstrs — bit-identical to running
 // Exec per vector. envs is only consulted for per-lane step budgets and may
 // be nil (default budgets).
-func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
+func (ev *Evaluator) runBatchBlocks(B int, envs []Env) {
 	p := ev.p
 
 	var entry uint64
@@ -446,8 +519,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 	// it with UB at its own step count.
 	var wave uint64
 	kill := func(b int, why string) {
-		out[b] = Result{UB: true, UBReason: why, Completed: true, DynInstrs: steps[b]}
-		ev.alive[b] = false
+		ev.fail(b, why, steps[b])
 		wave &^= 1 << uint(b)
 	}
 	// checkLanes applies one instruction's runtime guards lane by lane, in
@@ -472,12 +544,6 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 			}
 		}
 	}
-	// laneView returns lane b's run of register r.
-	laneView := func(r int32, b int) []Word {
-		L := int(p.regLanes[r])
-		base := int(p.regOff[r])*BatchWidth + b*L
-		return ev.words[base : base+L : base+L]
-	}
 
 	for {
 		bi := -1
@@ -496,14 +562,13 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 			ev.alive[bits.TrailingZeros64(m)] = true
 		}
 		blk := &p.blocks[bi]
-		for gi := blk.start; gi < blk.end && wave != 0; gi++ {
+		for gi := int(blk.start); gi < int(blk.end) && wave != 0; gi++ {
 			ci := &p.code[gi]
 			for m := wave; m != 0; m &= m - 1 {
 				b := bits.TrailingZeros64(m)
 				steps[b]++
 				if steps[b] > budget[b] {
-					out[b] = Result{Completed: false, DynInstrs: steps[b]}
-					ev.alive[b] = false
+					ev.exhaust(b, steps[b])
 					wave &^= 1 << uint(b)
 				}
 			}
@@ -514,31 +579,16 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 			case ir.OpRet:
 				if len(ci.in.Args) == 1 {
 					checkLanes(ci)
-					if wave == 0 {
-						break
-					}
-					retTy := ci.in.Args[0].Type()
-					if slot := ci.args[0]; slot >= 0 {
+					if slot := ci.args[0]; slot < 0 && p.consts[^slot].dyn != nil {
+						// Gather each lane's value now, for RetLanes.
 						for m := wave; m != 0; m &= m - 1 {
-							b := bits.TrailingZeros64(m)
-							out[b] = Result{Completed: true, DynInstrs: steps[b],
-								Ret: RVal{Ty: retTy, Lanes: laneView(slot, b)}}
-							ev.alive[b] = false
-						}
-					} else {
-						for m := wave; m != 0; m &= m - 1 {
-							b := bits.TrailingZeros64(m)
-							out[b] = Result{Completed: true, DynInstrs: steps[b],
-								Ret: RVal{Ty: retTy, Lanes: ev.constLanes(slot, b)}}
-							ev.alive[b] = false
+							ev.constLanes(slot, bits.TrailingZeros64(m))
 						}
 					}
-				} else {
-					for m := wave; m != 0; m &= m - 1 {
-						b := bits.TrailingZeros64(m)
-						out[b] = Result{Completed: true, DynInstrs: steps[b]}
-						ev.alive[b] = false
-					}
+				}
+				for m := wave; m != 0; m &= m - 1 {
+					b := bits.TrailingZeros64(m)
+					ev.retire(b, gi, steps[b])
 				}
 				wave = 0
 			case ir.OpBr:
@@ -565,7 +615,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 					b := bits.TrailingZeros64(m)
 					var c Word
 					if slot >= 0 {
-						c = laneView(slot, b)[0]
+						c = ev.laneView(slot, b)[0]
 					} else {
 						c = ev.constLanes(slot, b)[0]
 					}
@@ -615,7 +665,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 							kill(b, "use of unbound value "+ci.in.Args[idx].Ident())
 							continue
 						}
-						src = laneView(slot, b)
+						src = ev.laneView(slot, b)
 					} else {
 						e := &p.consts[^slot]
 						if !e.guarded() {
@@ -628,7 +678,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 						}
 					}
 					if ci.dst >= 0 {
-						dst := laneView(ci.dst, b)
+						dst := ev.laneView(ci.dst, b)
 						n := copy(dst, src)
 						for ; n < len(dst); n++ {
 							dst[n] = Word{}
@@ -641,42 +691,24 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 				if wave == 0 {
 					break
 				}
-				switch p.kinds[gi] {
-				case bkIntBin:
-					batchIntBin(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B, kill)
-				case bkICmp:
-					batchICmp(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
-				case bkSelect:
-					batchSelect(ev.bdst[gi], ev.bargs[gi], ev.alive, B)
-				case bkConvInt:
-					batchConvInt(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
-				case bkMinMax:
-					batchMinMax(ci.in, ev.bdst[gi], ev.bargs[gi], ev.alive, B)
-				case bkFreeze:
-					batchFreeze(ev.bdst[gi], ev.bargs[gi], ev.alive, B)
-				default: // bkGeneric: shared evalOp kernels, one lane at a time.
-					na := len(ci.args)
+				if p.kinds[gi].specialized() {
+					ev.runKernel(gi, ci, B, kill)
+				} else { // bkGeneric: shared kernels, one lane at a time.
+					args := ev.genericArgs(ci)
 					for m := wave; m != 0; m &= m - 1 {
 						b := bits.TrailingZeros64(m)
-						args := ev.argBuf[:na]
 						for k, slot := range ci.args {
 							if slot >= 0 {
-								args[k] = RVal{Ty: ci.in.Args[k].Type(), Lanes: laneView(slot, b)}
-							} else if e := &p.consts[^slot]; e.dyn != nil {
-								args[k] = RVal{Ty: ci.in.Args[k].Type(), Lanes: ev.constLanes(slot, b)}
-							} else {
-								args[k] = e.rv
+								args[k].Lanes = ev.laneView(slot, b)
+							} else if p.consts[^slot].dyn != nil {
+								args[k].Lanes = ev.constLanes(slot, b)
 							}
 						}
 						var dst []Word
 						if ci.dst >= 0 {
-							dst = laneView(ci.dst, b)
+							dst = ev.laneView(ci.dst, b)
 						}
-						mem := ev.emptyMem
-						if p.hasMem {
-							mem = ev.mems[b]
-						}
-						if ub, why := evalOp(ci.in, dst, args, mem, &ev.sc); ub {
+						if ub, why := ev.evalGeneric(ci, dst, args, b); ub {
 							kill(b, why)
 						}
 					}
@@ -1045,38 +1077,57 @@ func batchConvInt(in *ir.Instr, dst []Word, args [][]Word, alive []bool, B int) 
 	}
 }
 
-func batchMinMax(in *ir.Instr, dst []Word, args [][]Word, alive []bool, B int) {
-	w := ir.ScalarBits(ir.Elem(in.Ty))
+// batchCall runs a resolved intrinsic over the batch: the kernel
+// (intrinsicOp.lane) is the one Exec uses, with the callee, width and flag
+// resolved once per batch instead of once per lane.
+func batchCall(ci *cinstr, dst []Word, args [][]Word, alive []bool, B int) {
+	op, flag := ci.intr, ci.flag
+	w := ir.ScalarBits(ir.Elem(ci.in.Ty))
 	mask := ir.MaskW(w)
-	base := ir.IntrinsicBase(in.Callee)
-	xs, ys := args[0][:B], args[1][:B]
 	alive = alive[:B]
 	dst = dst[:B]
-	for b := 0; b < B; b++ {
-		if !alive[b] {
-			continue
+	switch op.arity() {
+	case 1:
+		xs := args[0][:B]
+		for b := 0; b < B; b++ {
+			if !alive[b] {
+				continue
+			}
+			x := xs[b]
+			if x.Poison {
+				dst[b] = Word{Poison: true}
+				continue
+			}
+			v, p := op.lane(w, mask, flag, x.V, 0, 0)
+			dst[b] = Word{V: v, Poison: p}
 		}
-		x, y := xs[b], ys[b]
-		if x.Poison || y.Poison {
-			dst[b] = Word{Poison: true}
-			continue
+	case 2:
+		xs, ys := args[0][:B], args[1][:B]
+		for b := 0; b < B; b++ {
+			if !alive[b] {
+				continue
+			}
+			x, y := xs[b], ys[b]
+			if x.Poison || y.Poison {
+				dst[b] = Word{Poison: true}
+				continue
+			}
+			v, p := op.lane(w, mask, flag, x.V, y.V, 0)
+			dst[b] = Word{V: v, Poison: p}
 		}
-		xv, yv := x.V&mask, y.V&mask
-		var take bool
-		switch base {
-		case "umin":
-			take = xv < yv
-		case "umax":
-			take = xv > yv
-		case "smin":
-			take = ir.SignExt(xv, w) < ir.SignExt(yv, w)
-		default: // smax
-			take = ir.SignExt(xv, w) > ir.SignExt(yv, w)
-		}
-		if take {
-			dst[b] = Word{V: xv}
-		} else {
-			dst[b] = Word{V: yv}
+	default:
+		xs, ys, zs := args[0][:B], args[1][:B], args[2][:B]
+		for b := 0; b < B; b++ {
+			if !alive[b] {
+				continue
+			}
+			x, y, z := xs[b], ys[b], zs[b]
+			if x.Poison || y.Poison || z.Poison {
+				dst[b] = Word{Poison: true}
+				continue
+			}
+			v, p := op.lane(w, mask, flag, x.V, y.V, z.V)
+			dst[b] = Word{V: v, Poison: p}
 		}
 	}
 }

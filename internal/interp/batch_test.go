@@ -521,7 +521,8 @@ func TestRunBatchFuzzMemory(t *testing.T) {
 // TestRunBatchFilledMatchesRunBatch pins the zero-copy input path: writing
 // the argument columns directly and calling RunBatchFilled must equal
 // RunBatch over the same vectors, on the straight-line path and under the
-// masked scheduler.
+// masked scheduler, and the Outcome masks and RetLanes views must agree
+// with the materialized Results.
 func TestRunBatchFilledMatchesRunBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for fi := 0; fi < 25; fi++ {
@@ -547,12 +548,56 @@ func TestRunBatchFilledMatchesRunBatch(t *testing.T) {
 				copy(col[b*L:(b+1)*L], vectors[b][i].Lanes)
 			}
 		}
-		outB := make([]Result, n)
-		evB.RunBatchFilled(n, outB, nil)
+		evB.RunBatchFilled(n, nil)
+		done, ub := evB.Outcome()
 		for i := range outA {
-			if diff := sameResult(outA[i], outB[i]); diff != "" {
+			got := evB.Result(i)
+			if diff := sameResult(outA[i], got); diff != "" {
 				t.Fatalf("func %d vector %d: filled vs batch: %s", fi, i, diff)
 			}
+			bit := uint64(1) << uint(i)
+			if (done&bit != 0) != got.Completed || (ub&bit != 0) != got.UB {
+				t.Fatalf("func %d vector %d: masks done=%v ub=%v vs %+v", fi, i, done&bit != 0, ub&bit != 0, got)
+			}
+			if got.Completed && !got.UB {
+				if rl := evB.RetLanes(i); !(RVal{Ty: got.Ret.Ty, Lanes: rl}).Equal(got.Ret) {
+					t.Fatalf("func %d vector %d: RetLanes %v vs Ret %s", fi, i, rl, got.Ret.Format())
+				}
+			}
+		}
+		if done>>uint(n) != 0 || ub>>uint(n) != 0 {
+			t.Fatalf("func %d: masks %x/%x mark lanes past n=%d", fi, done, ub, n)
+		}
+	}
+}
+
+// TestRunBatchReusedOutAcrossLoad reuses one out buffer across a Load whose
+// new program returns a register of another type at the same arena offset:
+// the Rets must take the new program's type, not keep the stale one their
+// unchanged lane views would suggest.
+func TestRunBatchReusedOutAcrossLoad(t *testing.T) {
+	a := parser.MustParseFunc(`define i8 @f(i8 %x) {
+  %r = add i8 %x, 1
+  ret i8 %r
+}`)
+	b := parser.MustParseFunc(`define i16 @f(i8 %x) {
+  %r = zext i8 %x to i16
+  ret i16 %r
+}`)
+	envs := []Env{{Args: []RVal{Scalar(ir.I8, 5)}}, {Args: []RVal{Scalar(ir.I8, 200)}}}
+	out := make([]Result, len(envs))
+	ev := NewEvaluator(Compile(a))
+	ev.RunBatch(envs, out)
+	ev.RunBatch(envs, out)
+	ev.Load(Compile(b))
+	ev.RunBatch(envs, out)
+	for i, env := range envs {
+		want := Exec(b, env)
+		if diff := sameResult(want, out[i]); diff != "" {
+			t.Fatalf("env %d: %s", i, diff)
+		}
+		if !ir.Equal(out[i].Ret.Ty, ir.I16) {
+			t.Fatalf("env %d: Ret type %s after Load, want i16", i, out[i].Ret.Ty)
 		}
 	}
 }

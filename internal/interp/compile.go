@@ -120,6 +120,12 @@ type cinstr struct {
 
 	// phiPred holds, per incoming phi edge, the nameKey of its label.
 	phiPred []int32
+
+	// intr is the resolved intrinsic of an OpCall (intrNone otherwise), and
+	// flag its trailing i1 immediate when that operand is a constant; a
+	// call whose flag is a register reads it per lane at run time.
+	intr intrinsicOp
+	flag bool
 }
 
 // Compile lowers fn. It never fails: constructs the reference interpreter
@@ -235,6 +241,13 @@ func Compile(fn *ir.Func) *Program {
 				ci.phiPred = make([]int32, len(in.Labels))
 				for k, l := range in.Labels {
 					ci.phiPred[k] = nameKey(l)
+				}
+			case ir.OpCall:
+				ci.intr = lookupIntrinsic(in.Callee)
+				if len(ci.args) > 1 && ci.args[1] < 0 {
+					if lanes := p.consts[^ci.args[1]].rv.Lanes; len(lanes) > 0 {
+						ci.flag = lanes[0].V&1 == 1
+					}
 				}
 			}
 			if in.HasResult() {

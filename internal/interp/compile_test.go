@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -195,6 +196,159 @@ head:
 done:
   ret <2 x i8> %accn
 }`},
+	// Intrinsic rows: every SupportedIntrinsic at the edges its kernel
+	// special-cases. Results are concatenated so no lane hides another.
+	// All but the last two run the whole-batch bkCall kernel.
+	{"intr-flags-off", `define i32 @f(i8 %x, i16 %y) {
+  %a = call i8 @llvm.abs.i8(i8 %x, i1 false)
+  %b = call i8 @llvm.ctlz.i8(i8 %x, i1 false)
+  %c = call i16 @llvm.cttz.i16(i16 %y, i1 false)
+  %az = zext i8 %a to i32
+  %bz = zext i8 %b to i32
+  %cz = zext i16 %c to i32
+  %ah = shl i32 %az, 24
+  %bh = shl i32 %bz, 16
+  %ab = or i32 %ah, %bh
+  %r = or i32 %ab, %cz
+  ret i32 %r
+}`},
+	{"intr-flags-on", `define i32 @f(i8 %x, i16 %y) {
+  %a = call i8 @llvm.abs.i8(i8 %x, i1 true)
+  %b = call i8 @llvm.ctlz.i8(i8 %x, i1 true)
+  %c = call i16 @llvm.cttz.i16(i16 %y, i1 true)
+  %az = zext i8 %a to i32
+  %bz = zext i8 %b to i32
+  %cz = zext i16 %c to i32
+  %ah = shl i32 %az, 24
+  %bh = shl i32 %bz, 16
+  %ab = or i32 %ah, %bh
+  %r = or i32 %ab, %cz
+  ret i32 %r
+}`},
+	{"intr-bswap-bitreverse-i16", `define i32 @f(i16 %x) {
+  %a = call i16 @llvm.bswap.i16(i16 %x)
+  %b = call i16 @llvm.bitreverse.i16(i16 %x)
+  %az = zext i16 %a to i32
+  %bz = zext i16 %b to i32
+  %ah = shl i32 %az, 16
+  %r = or i32 %ah, %bz
+  ret i32 %r
+}`},
+	{"intr-bswap-bitreverse-i32", `define i64 @f(i32 %x) {
+  %a = call i32 @llvm.bswap.i32(i32 %x)
+  %b = call i32 @llvm.bitreverse.i32(i32 %x)
+  %az = zext i32 %a to i64
+  %bz = zext i32 %b to i64
+  %ah = shl i64 %az, 32
+  %r = or i64 %ah, %bz
+  ret i64 %r
+}`},
+	{"intr-sat-edges", `define i64 @f(i8 %x, i8 %y) {
+  %a = call i8 @llvm.uadd.sat.i8(i8 %x, i8 200)
+  %b = call i8 @llvm.usub.sat.i8(i8 %y, i8 200)
+  %c = call i8 @llvm.sadd.sat.i8(i8 %x, i8 100)
+  %d = call i8 @llvm.ssub.sat.i8(i8 %y, i8 100)
+  %e = call i8 @llvm.sadd.sat.i8(i8 %x, i8 %y)
+  %f = call i8 @llvm.ssub.sat.i8(i8 -128, i8 %x)
+  %az = zext i8 %a to i64
+  %bz = zext i8 %b to i64
+  %cz = zext i8 %c to i64
+  %dz = zext i8 %d to i64
+  %ez = zext i8 %e to i64
+  %fz = zext i8 %f to i64
+  %ah = shl i64 %az, 40
+  %bh = shl i64 %bz, 32
+  %ch = shl i64 %cz, 24
+  %dh = shl i64 %dz, 16
+  %eh = shl i64 %ez, 8
+  %r1 = or i64 %ah, %bh
+  %r2 = or i64 %r1, %ch
+  %r3 = or i64 %r2, %dh
+  %r4 = or i64 %r3, %eh
+  %r = or i64 %r4, %fz
+  ret i64 %r
+}`},
+	{"intr-funnel-wide-shift", `define i32 @f(i8 %x, i8 %y, i8 %s) {
+  %a = call i8 @llvm.fshl.i8(i8 %x, i8 %y, i8 %s)
+  %b = call i8 @llvm.fshr.i8(i8 %x, i8 %y, i8 %s)
+  %c = call i8 @llvm.fshl.i8(i8 %x, i8 %y, i8 8)
+  %d = call i8 @llvm.fshr.i8(i8 %x, i8 %y, i8 11)
+  %az = zext i8 %a to i32
+  %bz = zext i8 %b to i32
+  %cz = zext i8 %c to i32
+  %dz = zext i8 %d to i32
+  %ah = shl i32 %az, 24
+  %bh = shl i32 %bz, 16
+  %ch = shl i32 %cz, 8
+  %r1 = or i32 %ah, %bh
+  %r2 = or i32 %r1, %ch
+  %r = or i32 %r2, %dz
+  ret i32 %r
+}`},
+	{"intr-smin-smax", `define i32 @f(i16 %x, i16 %y) {
+  %a = call i16 @llvm.smin.i16(i16 %x, i16 %y)
+  %b = call i16 @llvm.smax.i16(i16 %x, i16 -5)
+  %az = zext i16 %a to i32
+  %bz = zext i16 %b to i32
+  %ah = shl i32 %az, 16
+  %r = or i32 %ah, %bz
+  ret i32 %r
+}`},
+	{"intr-fabs-minnum", `define double @f(double %u, double %v, float %w) {
+  %a = call double @llvm.fabs.f64(double %u)
+  %h = call float @llvm.fabs.f32(float %w)
+  %e = fpext float %h to double
+  %m = call double @llvm.minnum.f64(double %a, double %v)
+  %r = call double @llvm.minnum.f64(double %m, double %e)
+  ret double %r
+}`},
+	{"intr-vector-call", `define <2 x i8> @f(<2 x i8> %x, <2 x i8> %y) {
+  %a = call <2 x i8> @llvm.abs.v2i8(<2 x i8> %x, i1 true)
+  %r = call <2 x i8> @llvm.umin.v2i8(<2 x i8> %a, <2 x i8> %y)
+  ret <2 x i8> %r
+}`},
+	{"intr-register-flag", `define i8 @f(i8 %x, i1 %c) {
+  %a = call i8 @llvm.ctlz.i8(i8 %x, i1 %c)
+  %b = call i8 @llvm.abs.i8(i8 %x, i1 %c)
+  %r = xor i8 %a, %b
+  ret i8 %r
+}`},
+}
+
+// TestIntrinsicCallKinds pins which calls of the intrinsic rows run the
+// whole-batch bkCall kernel: every scalar call with a constant (or absent)
+// flag, while vector-typed calls and calls whose flag is a register keep the
+// per-vector generic path. Across diffCases every supported intrinsic must
+// reach bkCall at least once, so the differentials cover each kernel.
+func TestIntrinsicCallKinds(t *testing.T) {
+	generic := map[string]bool{"intr-vector-call": true, "intr-register-flag": true}
+	seen := map[intrinsicOp]bool{}
+	for _, tc := range diffCases {
+		p := Compile(parser.MustParseFunc(tc.src))
+		for gi, ci := range p.code {
+			if ci.in.Op != ir.OpCall {
+				continue
+			}
+			if p.kinds[gi] == bkCall {
+				seen[ci.intr] = true
+			}
+			if !strings.HasPrefix(tc.name, "intr-") {
+				continue
+			}
+			want := bkCall
+			if generic[tc.name] {
+				want = bkGeneric
+			}
+			if p.kinds[gi] != want {
+				t.Errorf("%s: %s classified %d, want %d", tc.name, ci.in.Callee, p.kinds[gi], want)
+			}
+		}
+	}
+	for base, op := range intrinsicByBase {
+		if !seen[op] {
+			t.Errorf("no diffCases row runs %s on bkCall", base)
+		}
+	}
 }
 
 // runBoth executes f on equivalent fresh environments through Exec and a

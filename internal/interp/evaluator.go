@@ -9,9 +9,9 @@ package interp
 // Exec).
 //
 // An Evaluator is not safe for concurrent use; build one per goroutine
-// (Programs may be shared freely). Returned Result.Ret values alias the
-// evaluator's scratch storage and are valid only until the next run; use
-// RVal.Clone to retain them.
+// (Programs may be shared freely). Return values — Result.Ret and RetLanes —
+// alias the evaluator's scratch storage and are valid only until the next
+// run; use RVal.Clone to retain them.
 type Evaluator struct {
 	p *Program
 
@@ -23,6 +23,16 @@ type Evaluator struct {
 	mems   []*Memory  // per batch lane: memory (programs with hasMem only)
 	argBuf []RVal     // reusable per-vector operand views (generic kind)
 	sc     scratch
+
+	// Per-lane outcome of the last run: done marks the lanes that completed
+	// (returned or stopped at UB), ub those that stopped at UB; dyn holds each
+	// lane's step count, why its UB reason and retAt the code index of the
+	// ret it executed. Results are materialized from these on demand, so the
+	// hot loop writes no per-lane Result.
+	done, ub uint64
+	dyn      []int
+	why      []string
+	retAt    []int32
 
 	// dynBuf holds, per dynamic vector constant (nil for every other pool
 	// entry), one run of the constant's lanes per batch lane, gathered at
@@ -46,7 +56,13 @@ type Evaluator struct {
 
 // NewEvaluator builds an evaluator for p.
 func NewEvaluator(p *Program) *Evaluator {
-	ev := &Evaluator{alive: make([]bool, BatchWidth), emptyMem: NewMemory()}
+	ev := &Evaluator{
+		alive:    make([]bool, BatchWidth),
+		dyn:      make([]int, BatchWidth),
+		why:      make([]string, BatchWidth),
+		retAt:    make([]int32, BatchWidth),
+		emptyMem: NewMemory(),
+	}
 	ev.Load(p)
 	return ev
 }

@@ -319,6 +319,7 @@ func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.sub.Close()
 		s.drain.Wait()
+		<-s.done // healthz reports stopped once Close returns
 		s.cancel()
 		if _, err := FlushPool(s.st, s.pool); err != nil && s.closeErr == nil {
 			// The pool drain failed mid-way; anything it did Put is pending

@@ -132,7 +132,7 @@ func TestServiceRestartResume(t *testing.T) {
 	corpus := append([]string{knownWindow}, extraWindows...)
 
 	// First campaign: everything is novel.
-	_, hs1 := newServerT(t, dir)
+	srv1, hs1 := newServerT(t, dir)
 	statuses := postWindows(t, hs1.URL, corpus...)
 	if len(statuses) != len(corpus) {
 		t.Fatalf("%d statuses for %d windows", len(statuses), len(corpus))
@@ -177,7 +177,13 @@ func TestServiceRestartResume(t *testing.T) {
 	}
 	book1, _ := io.ReadAll(rb1.Body)
 	rb1.Body.Close()
-	hs1.Close() // tear down the first daemon (Cleanup will Close again; idempotent)
+	// Tear down the first daemon, committing the findings it still holds
+	// pending (a finding is served before it is durable); Cleanup's second
+	// Close is a no-op.
+	hs1.Close()
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Second daemon, same store: resubmission must be answered from disk.
 	srv2, hs2 := newServerT(t, dir)

@@ -40,7 +40,7 @@ func TestServiceWasmSubmit(t *testing.T) {
 	dir := t.TempDir()
 	fixtures := wasm.Fixtures()
 
-	_, hs1 := newServerT(t, dir)
+	srv1, hs1 := newServerT(t, dir)
 	findings1 := make(map[string][]byte)
 	var queued, skipped int
 	for _, fx := range fixtures {
@@ -83,7 +83,13 @@ func TestServiceWasmSubmit(t *testing.T) {
 	if len(stats1.Engine.Lift.Reasons) == 0 {
 		t.Fatal("lift coverage recorded no skip reasons")
 	}
+	// Tear down the first daemon, committing the findings it still holds
+	// pending (a finding is served before it is durable); Cleanup's second
+	// Close is a no-op.
 	hs1.Close()
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Second daemon, same store: the same binaries resolve from disk with
 	// byte-identical finding bodies.
