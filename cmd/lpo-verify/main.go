@@ -113,7 +113,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		for _, wr := range alive.VerifyWidths(widths, opts, func(w int) (*ir.Func, *ir.Func, error) {
+		for _, wr := range alive.VerifyWidths(widths, opts, nil, func(w int) (*ir.Func, *ir.Func, error) {
 			s, err := generalize.Rewidth(sf, w)
 			if err != nil {
 				return nil, nil, err

@@ -138,8 +138,10 @@
 // per instruction. A run's outcome stays in the evaluator as lane masks
 // (Outcome: completed, UB), per-lane step counts and the executed ret, so
 // the hot loop writes no per-lane Result; RetLanes reads a lane's return
-// value in place, and Result materializes a lane's full Result only when a
-// caller asks (RunBatch does so for every lane). Multi-block programs run
+// value in place, RetColumn hands out the whole batch's return values as
+// one column when the program has a single ret of a scalar register or
+// constant, and Result materializes a lane's full Result
+// only when a caller asks (RunBatch does so for every lane). Multi-block programs run
 // under a lane-masked scheduler: each block keeps a bitmask of lanes
 // waiting to execute it, the scheduler always resumes the lowest-numbered
 // runnable block so lanes that diverged at a branch reconverge at the join,
@@ -172,7 +174,11 @@
 // their rng draw order is what same-seed reproducibility pins; the rng is
 // created, with the same seed, only at its first draw. Memory fills land
 // directly in the per-lane slabs, the refinement check reads the
-// evaluators' outcome masks and return values in place, Checked and the per-tier
+// evaluators' outcome masks and return values in place — as two scalar
+// return columns compared in one loop over the batch when both programs
+// have one and touch no memory, through RetLanes per lane for vector
+// returns, several rets, vector constant returns and memory programs —
+// Checked and the per-tier
 // counts are added once per batch, and refuted pairs restore the raw
 // generated pointer words and initial region bytes so the counterexample
 // text stays byte-identical to alive.ReferenceVerify, the Exec-per-input
@@ -188,11 +194,25 @@
 // kills), and the Souper/Minotaur CEGIS loops deposit and replay through
 // the same pool while folding refuting inputs into their test-vector
 // filters. On one core this makes the clamp verification ~3x and the
-// generalize width sweep ~3.6x faster than the PR-4 reference. The
-// generalize sweeps run about twice as many vectors per campaign as the
-// verify stage, nearly all of them exhaustive enumerations of at most 16
-// input bits; `lpo -stats` prints both counts (verify executions,
-// generalize executions).
+// generalize width sweep ~3.6x faster than the PR-4 reference.
+//
+// Each witness is proven once. The engine's learn stage passes the verify
+// stage's alive.Result for the witness pair (from the verify cache) to the
+// generalize sweep as an alive.Proof, and the sweep's Checker skips only
+// the exhaustive enumeration at the width whose instantiation hashes equal
+// to that pair — when the proof is Correct and Exhaustive, the sweep's own
+// input sequence is exhaustive, and the pair has no pointer parameters
+// (memory fills beyond the first two come from the Options seed). Tier-0
+// replays and the seeded poison trials still run. The skip is exact: both
+// checks run the same Programs (interp.Cache is keyed by the same
+// structural hash), the enumeration covers the same counter space under
+// any Options and draws nothing from the rng, so the poison trials see the
+// same rng stream, and the proof already found no violation in it. The
+// width's Result keeps Exhaustive and counts the skipped vectors in
+// Skipped. Over `campaign_cpu` campaigns (corpus seeds 1001-1016) this cut
+// the sweeps from 1.77M to 1.02M vectors per campaign against 0.88M in the
+// verify stage; `lpo -stats` prints verify executions and generalize
+// executions, with the widths that reused a proof and the vectors skipped.
 //
 // `lpo-bench -json FILE` records the hot-path numbers as a machine-readable
 // snapshot so later PRs have a trajectory to compare against. The format

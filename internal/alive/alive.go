@@ -23,9 +23,22 @@
 // straight into the evaluators' input columns (exhaustive enumeration
 // column by column, sampled phases vector by vector in their rng draw
 // order), and the refinement check reads the evaluators' outcome masks and
-// each lane's return value in place, counting checked vectors per batch. A CounterExample is
+// the return values in place, counting checked vectors per batch: when both
+// programs return a scalar through one ret of a register or a constant and
+// touch no memory, it compares their return columns
+// (interp.Evaluator.RetColumn) word by word, otherwise it reads each lane
+// through RetLanes. A CounterExample is
 // materialized only on an actual violation, so a steady-state Verify
 // performs a constant number of allocations however many batches it runs.
+//
+// VerifyWidths can reuse an earlier verification of the witness pair (a
+// Proof): at the width whose instantiation hashes equal to the proven
+// pair, a Correct and Exhaustive proof of a pair without pointer
+// parameters lets the Checker skip its exhaustive enumeration, while tier-0
+// replays and poison trials still run. The skip is exact — same Programs,
+// same enumeration under any Options, no rng draws in it — so verdicts,
+// counterexamples and kill tiers are those of the full run; only Checked
+// drops, by Result.Skipped.
 // ReferenceVerify re-walks both functions with the reference interpreter
 // (interp.Exec) per input and shares no execution path with the Checker: it
 // is the independent oracle that differential tests and benchmark re-checks
@@ -203,7 +216,11 @@ type Result struct {
 	Err        string // set for Unsupported
 	Checked    int    // input vectors actually executed
 	Exhaustive bool   // true if the whole input space was covered
-	Tiers      TierStats
+	// Skipped counts the exhaustive vectors this run did not execute
+	// because a Proof already covered them (VerifyWidths); Exhaustive
+	// still holds for such a run.
+	Skipped int
+	Tiers   TierStats
 }
 
 // Checker is a compiled (source, target) refinement obligation: both
@@ -225,6 +242,7 @@ type Checker struct {
 	winKey  uint64 // pool key of the source window (lazy)
 	haveKey bool
 	seeds   []PoolVector // extra tier-0 vectors (width-sweep reseeding)
+	proven  bool         // a Proof covers the exhaustive phase (VerifyWidths)
 
 	// Lane-batched streaming state. The generator writes each batch
 	// straight into the source evaluator's input columns, the columns are
@@ -305,6 +323,9 @@ func (c *Checker) Verify() Result {
 	}
 	gen := newInputGen(c.src, c.opts)
 	res.Exhaustive = gen.exhaustive
+	if c.proven && gen.exhaustive {
+		res.Skipped = gen.skipExhaustive()
+	}
 	for {
 		n := gen.fill(c.srcCols, c.memIdx, &c.tiers)
 		if n == 0 {
@@ -475,16 +496,35 @@ func (c *Checker) runBatch(n int, res *Result) int {
 func (c *Checker) firstViolation() (int, string) {
 	sDone, sUB := c.se.Outcome()
 	tDone, tUB := c.te.Outcome()
-	retVoid := ir.IsVoid(c.src.Ret)
+	return c.scanViolation(sDone&^sUB&tDone, tUB, c.se.RetColumn(), c.te.RetColumn())
+}
+
+// scanViolation checks the slots in mask m in order, tUB marking the
+// slots where the target hit UB. When sc and tc are both non-nil they are
+// the two programs' scalar return columns (interp.Evaluator.RetColumn);
+// without memory to diff the return words are then compared in place.
+// Every other shape — vector returns, several rets, vector constant
+// returns, pointer parameters — reads each slot's return value through
+// RetLanes. Both ways apply refinesWord to the same words, so they report
+// the same slot.
+func (c *Checker) scanViolation(m, tUB uint64, sc, tc []interp.Word) (int, string) {
 	fpBits := retFPBits(c.src.Ret)
-	for m := sDone &^ sUB & tDone; m != 0; m &= m - 1 {
+	if sc != nil && tc != nil && c.srcBM == nil {
+		for ; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if tUB&(1<<uint(b)) != 0 || !refinesWord(sc[b], tc[b], fpBits) {
+				return b, ""
+			}
+		}
+		return -1, ""
+	}
+	retVoid := ir.IsVoid(c.src.Ret)
+	for ; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
 		if tUB&(1<<uint(b)) != 0 {
 			return b, ""
 		}
-		switch {
-		case retVoid:
-		case !refinesLanes(c.se.RetLanes(b), c.te.RetLanes(b), fpBits):
+		if !retVoid && !refinesLanes(c.se.RetLanes(b), c.te.RetLanes(b), fpBits) {
 			return b, ""
 		}
 		if c.srcBM != nil {
@@ -568,23 +608,19 @@ func retFPBits(retTy ir.Type) int {
 // hoisted out (the batched checker calls it once per vector).
 func refinesLanes(src, tgt []interp.Word, fpBits int) bool {
 	for i := range src {
-		sl := src[i]
-		if sl.Poison {
-			continue
-		}
-		tl := tgt[i]
-		if tl.Poison {
+		if !refinesWord(src[i], tgt[i], fpBits) {
 			return false
 		}
-		if tl.V == sl.V {
-			continue
-		}
-		if fpBits > 0 && isNaNBits(fpBits, sl.V) && isNaNBits(fpBits, tl.V) {
-			continue
-		}
-		return false
 	}
 	return true
+}
+
+// refinesWord is the obligation for one lane: a poison source lane allows
+// any target lane; a defined one needs an equal, non-poison target lane,
+// where for floating point lanes (fpBits > 0) any NaN matches any NaN.
+func refinesWord(s, t interp.Word, fpBits int) bool {
+	return s.Poison || !t.Poison &&
+		(t.V == s.V || fpBits > 0 && isNaNBits(fpBits, s.V) && isNaNBits(fpBits, t.V))
 }
 
 // memDiff checks the memory refinement obligation: bytes the source leaves

@@ -125,6 +125,15 @@ func (g *inputGen) rand() *rand.Rand {
 	return g.rng
 }
 
+// skipExhaustive moves a fresh exhaustive sequence past its enumeration,
+// to the poison trials, and returns how many vectors it skipped. The
+// enumeration draws nothing from the rng, so the rest of the sequence is
+// unchanged.
+func (g *inputGen) skipExhaustive() int {
+	g.c = g.cmax
+	return int(g.cmax) * len(g.fills)
+}
+
 // batchTiers attributes the slots of one batch to scheduler tiers: slots
 // [randLo, randHi) came from the random phase, every other slot is base.
 // The random phase is contiguous in the sequence, so one range covers it.

@@ -183,7 +183,7 @@ func TestVerifyWidthsReseedsPool(t *testing.T) {
 			return sw, dw, nil
 		}
 	}
-	wrs := VerifyWidths([]int{8, 16, 32}, opts, inst(src, tgt))
+	wrs := VerifyWidths([]int{8, 16, 32}, opts, nil, inst(src, tgt))
 	if wrs[0].Verdict != Incorrect || wrs[0].Tiers.KillTier != TierSpecial || wrs[0].Checked != 257 {
 		t.Fatalf("width 8: verdict %v tier %d checked %d", wrs[0].Verdict, wrs[0].Tiers.KillTier, wrs[0].Checked)
 	}
@@ -210,8 +210,8 @@ func TestVerifyWidthsReseedsPool(t *testing.T) {
 	}
 	// Correct pairs: seeded and unseeded sweeps must match exactly.
 	good := parser.MustParseFunc(`define i8 @tgt(i8 %x, i8 %y) { %r = add i8 %y, %x ret i8 %r }`)
-	a := VerifyWidths([]int{8, 16, 32}, opts, inst(src, good))
-	b := VerifyWidths([]int{8, 16, 32}, opts, inst(src, good))
+	a := VerifyWidths([]int{8, 16, 32}, opts, nil, inst(src, good))
+	b := VerifyWidths([]int{8, 16, 32}, opts, nil, inst(src, good))
 	for i := range a {
 		if a[i].Verdict != Correct || a[i].Checked != b[i].Checked {
 			t.Fatalf("width %d: sweep not reproducible: %+v vs %+v", a[i].Width, a[i].Result, b[i].Result)

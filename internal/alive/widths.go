@@ -8,6 +8,15 @@ type WidthResult struct {
 	Result
 }
 
+// Proof is a finished verification of one (source, target) pair, named by
+// the pair's structural hashes (ir.Hash). The engine's verify stage produces
+// one for every witness it accepts; VerifyWidths uses it to skip proving
+// that pair's exhaustive input space a second time.
+type Proof struct {
+	Src, Tgt uint64
+	Result   Result
+}
+
 // VerifyWidths re-checks a width-parameterized transformation across a
 // width sweep: inst instantiates the (source, target) pair at each width and
 // each instantiation is verified independently through a tiered, batched
@@ -23,7 +32,15 @@ type WidthResult struct {
 // the exact same input sequence as an unseeded run, so surviving sweeps are
 // unaffected. internal/generalize drives its over-generalization rejection
 // through this helper, and cmd/lpo-verify -widths exposes it directly.
-func VerifyWidths(widths []int, opts Options, inst func(w int) (src, tgt *ir.Func, err error)) []WidthResult {
+//
+// proof, when non-nil, is an earlier verification of the witness pair. At
+// the width whose instantiation hashes equal to proof's pair, the Checker
+// skips the exhaustive enumeration (Result.Skipped counts it) when the proof
+// is Correct and Exhaustive, the pair has no pointer parameters and the
+// width's own input sequence is exhaustive too. That width still replays
+// its tier-0 vectors and runs its poison trials. See isProven for why this
+// reports exactly what the full run would.
+func VerifyWidths(widths []int, opts Options, proof *Proof, inst func(w int) (src, tgt *ir.Func, err error)) []WidthResult {
 	out := make([]WidthResult, 0, len(widths))
 	var carry []PoolVector // falsifying vectors from earlier widths
 	for _, w := range widths {
@@ -33,6 +50,7 @@ func VerifyWidths(widths []int, opts Options, inst func(w int) (src, tgt *ir.Fun
 			continue
 		}
 		c := NewChecker(src, tgt, opts)
+		c.proven = isProven(proof, c)
 		for _, cv := range carry {
 			if rv, ok := RescaleVector(src.Params, cv); ok {
 				c.Seed([]PoolVector{rv})
@@ -45,4 +63,19 @@ func VerifyWidths(widths []int, opts Options, inst func(w int) (src, tgt *ir.Fun
 		out = append(out, WidthResult{Width: w, Result: r})
 	}
 	return out
+}
+
+// isProven reports whether proof already covers c's exhaustive phase. The
+// skip is exact: both checks compile through the same interp.Cache key
+// (the structural hash), so they run the same Programs; without pointer
+// parameters the exhaustive phase is the counter enumeration of the
+// non-pointer input bits, identical under any Options and drawing nothing
+// from the rng, so the poison trials after it see the same rng stream; and
+// a Correct proof means none of those vectors violated. Pointer
+// parameters are excluded because memory fills beyond the first two are
+// drawn from the Options seed, which the proof may not share.
+func isProven(proof *Proof, c *Checker) bool {
+	return proof != nil && proof.Result.Verdict == Correct && proof.Result.Exhaustive &&
+		c.sigErr == "" && len(c.ptrParams) == 0 &&
+		ir.Hash(c.src) == proof.Src && ir.Hash(c.tgt) == proof.Tgt
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -300,5 +301,48 @@ func TestParMapOrdered(t *testing.T) {
 	}
 	if len(ParMap(context.Background(), 3, nil, func(_ context.Context, _ int, v int) int { return v })) != 0 {
 		t.Fatal("empty input must give empty output")
+	}
+}
+
+// TestRulebookDeterministicAcrossWorkerCounts pins that the learned
+// rulebook, and the rule each result carries, do not depend on scheduling:
+// witnesses that generalize to one rule ID keep the entry of the earliest
+// witness in source order, as a single worker does. Seeds 1003 and 1012
+// each have IDs learned from witnesses at two widths.
+func TestRulebookDeterministicAcrossWorkerCounts(t *testing.T) {
+	campaign := func(seed uint64, workers int) (book string, learned []string) {
+		e := New(llm.NewSim("Gemini2.0T", seed), Config{
+			Workers: workers,
+			Rounds:  4,
+			Learn:   true,
+			Verify:  alive.Options{Samples: 1024, Seed: seed},
+		})
+		results, _ := e.RunAll(context.Background(), Corpus(corpus.Options{Seed: seed}, extract.New(extract.Options{})))
+		data, err := e.Rulebook().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Learned != nil {
+				learned = append(learned, fmt.Sprintf("%d %s i%d %s", r.Index, r.Learned.ID, r.Learned.Width, r.Learned.Origin))
+			}
+		}
+		return string(data), learned
+	}
+	const repeats = 3
+	for _, seed := range []uint64{1003, 1012} {
+		wantBook, wantLearned := campaign(seed, 1)
+		for _, workers := range []int{1, 2, 8} {
+			for rep := 0; rep < repeats; rep++ {
+				book, learned := campaign(seed, workers)
+				if book != wantBook {
+					t.Fatalf("seed %d, workers %d, run %d: rulebook differs from workers=1", seed, workers, rep)
+				}
+				if strings.Join(learned, "\n") != strings.Join(wantLearned, "\n") {
+					t.Fatalf("seed %d, workers %d, run %d: results carry different rules:\n%s\nvs workers=1:\n%s",
+						seed, workers, rep, strings.Join(learned, "\n"), strings.Join(wantLearned, "\n"))
+				}
+			}
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/alive"
@@ -207,7 +208,11 @@ type Engine struct {
 	// by witness-pair hash, learned collects distinct rules by ID.
 	lmu     sync.Mutex
 	lcache  map[uint64]*learnEntry
-	learned map[string]*generalize.Rule
+	learned map[string]learnedRule
+
+	// runs numbers the engine's Runs, so that learned rules can be ordered
+	// by where their witness came from across the runs of a reused engine.
+	runs atomic.Int64
 
 	// Quarantine: windows whose processing panicked, keyed by 16-hex window
 	// hash (see runSeqIsolated). A quarantined window produced an
@@ -218,10 +223,24 @@ type Engine struct {
 
 // learnEntry is a singleflight slot for one witness pair: the first worker
 // to claim the key runs the width sweep inside once; later workers block on
-// it and share the (possibly nil) outcome.
+// it and share the (possibly nil) outcome. The rule carries no Origin.
 type learnEntry struct {
 	once sync.Once
 	rule *generalize.Rule
+}
+
+// learnedRule is the kept instance of one learned rule ID and the position
+// of the witness it was lifted from: the Run it belongs to and its index in
+// that Run's source.
+type learnedRule struct {
+	rule *generalize.Rule
+	run  int64
+	idx  int
+}
+
+// before reports whether l's witness comes before position (run, idx).
+func (l learnedRule) before(run int64, idx int) bool {
+	return l.run < run || l.run == run && l.idx < idx
 }
 
 type verifyKey struct{ src, cand uint64 }
@@ -279,7 +298,7 @@ func New(client llm.Client, cfg Config) *Engine {
 		vcache:  make(map[verifyKey]*verifyEntry),
 		seen:    make(map[uint64]bool),
 		lcache:  make(map[uint64]*learnEntry),
-		learned: make(map[string]*generalize.Rule),
+		learned: make(map[string]learnedRule),
 	}
 }
 
@@ -290,8 +309,8 @@ func (e *Engine) Learned() []*generalize.Rule {
 	e.lmu.Lock()
 	defer e.lmu.Unlock()
 	out := make([]*generalize.Rule, 0, len(e.learned))
-	for _, r := range e.learned {
-		out = append(out, r)
+	for _, l := range e.learned {
+		out = append(out, l.rule)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -314,8 +333,10 @@ func (e *Engine) Stats() *Stats { return e.stats }
 // New), for observability and cross-campaign reuse.
 func (e *Engine) CEPool() *alive.CEPool { return e.cfg.Verify.Pool }
 
-// item is one unit of scheduled work.
+// item is one unit of scheduled work: the idx-th sequence of the engine's
+// run-th Run.
 type item struct {
+	run int64
 	idx int
 	seq *extract.Sequence
 }
@@ -332,6 +353,7 @@ type item struct {
 // The same Engine may be reused for several runs; Stats accumulates across
 // them (call Stats.Reset between runs for per-run numbers).
 func (e *Engine) Run(ctx context.Context, src Source) (<-chan Result, *Stats) {
+	run := e.runs.Add(1)
 	out := make(chan Result)
 	items := make(chan item, e.cfg.QueueSize)
 	results := make(chan Result, e.cfg.QueueSize)
@@ -359,7 +381,7 @@ func (e *Engine) Run(ctx context.Context, src Source) (<-chan Result, *Stats) {
 				return
 			}
 			select {
-			case items <- item{idx: idx, seq: seq}:
+			case items <- item{run: run, idx: idx, seq: seq}:
 			case <-ctx.Done():
 				return
 			}
@@ -412,6 +434,9 @@ func (e *Engine) Run(ctx context.Context, src Source) (<-chan Result, *Stats) {
 				}
 				delete(pending, next)
 				next++
+				if r.Learned != nil {
+					r.Learned = e.keptRule(r.Learned)
+				}
 				select {
 				case out <- r:
 				case <-ctx.Done():
@@ -493,16 +518,24 @@ func (e *Engine) runSeq(ctx context.Context, it item) Result {
 	agg.Usage = usage
 	agg.RoundOutcomes = roundOutcomes
 	if e.cfg.Learn && agg.Outcome == Found && agg.Cand != nil {
-		agg.Learned = e.learn(agg.Src, agg.Cand, it.seq)
+		agg.Learned = e.learn(agg.Src, agg.Cand, it)
 	}
 	return agg
 }
 
 // learn runs the post-verify generalize hook on one Found witness pair,
 // singleflighted across workers and rounds by the pair's structural hash:
-// only the first sighting pays for the width sweep, and rules that hash to
-// an already-learned ID collapse onto the existing instance.
-func (e *Engine) learn(src, cand *ir.Func, seq *extract.Sequence) *generalize.Rule {
+// only the first sighting pays for the width sweep. The sweep reuses the
+// verify stage's proof of the pair (see proof).
+//
+// Witnesses that generalize to the same rule ID share one rulebook entry,
+// and that entry — its witness width, pair and Origin — comes from the
+// witness earliest in source order, whichever sweep finished first. That is
+// what a single worker produces, so the rulebook does not depend on the
+// worker count or on scheduling. The returned instance may still be
+// replaced by an earlier witness's; Run's reassembler hands each result
+// the entry kept once every earlier result is in (keptRule).
+func (e *Engine) learn(src, cand *ir.Func, it item) *generalize.Rule {
 	key := ir.Hash(src) ^ bits.RotateLeft64(ir.Hash(cand), 1)
 	e.lmu.Lock()
 	ent, hit := e.lcache[key]
@@ -515,25 +548,57 @@ func (e *Engine) learn(src, cand *ir.Func, seq *extract.Sequence) *generalize.Ru
 		start := time.Now()
 		var res generalize.Result
 		err := e.runBounded(StageGeneralize, func() {
-			res = generalize.Generalize(src, cand, e.cfg.Generalize)
+			res = generalize.Generalize(src, cand, e.proof(src, cand), e.cfg.Generalize)
 		})
 		e.stats.recordStage(StageGeneralize, time.Since(start).Seconds())
-		e.stats.recordGeneralize(res.Checked)
-		if err != nil || res.Rule == nil {
-			// A timed-out sweep learns nothing; the finding itself stands.
-			return
+		if err == nil {
+			// A timed-out sweep learns nothing, and its abandoned goroutine
+			// still owns res; the finding itself stands.
+			e.stats.recordGeneralize(res)
+			ent.rule = res.Rule
 		}
-		e.lmu.Lock()
-		defer e.lmu.Unlock()
-		if prev, dup := e.learned[res.Rule.ID]; dup {
-			ent.rule = prev
-			return
-		}
-		if seq != nil && seq.Module != "" {
-			res.Rule.Origin = seq.Module + ":" + seq.Func
-		}
-		e.learned[res.Rule.ID] = res.Rule
-		ent.rule = res.Rule
 	})
-	return ent.rule
+	if ent.rule == nil {
+		return nil
+	}
+	e.lmu.Lock()
+	defer e.lmu.Unlock()
+	id := ent.rule.ID
+	if prev, dup := e.learned[id]; dup && prev.before(it.run, it.idx) {
+		return prev.rule
+	}
+	rule := *ent.rule
+	if it.seq != nil && it.seq.Module != "" {
+		rule.Origin = it.seq.Module + ":" + it.seq.Func
+	}
+	e.learned[id] = learnedRule{rule: &rule, run: it.run, idx: it.idx}
+	return &rule
+}
+
+// keptRule returns the rulebook entry kept for r's ID, or r when the engine
+// learned no such rule (a Config.Lookup result may carry its own). Called
+// as a result is emitted in source order, after every earlier result was
+// learned, it returns the instance a single worker would have attached.
+func (e *Engine) keptRule(r *generalize.Rule) *generalize.Rule {
+	e.lmu.Lock()
+	defer e.lmu.Unlock()
+	if kept, ok := e.learned[r.ID]; ok {
+		return kept.rule
+	}
+	return r
+}
+
+// proof returns the verify stage's verification of (src, cand) from the
+// verify cache, or nil when the cache is off. learn calls it only for
+// pairs this goroutine's verify stage accepted, so the entry is complete
+// and its once orders the read after the write.
+func (e *Engine) proof(src, cand *ir.Func) *alive.Proof {
+	key := verifyKey{src: ir.Hash(src), cand: ir.Hash(cand)}
+	e.vmu.Lock()
+	ent := e.vcache[key]
+	e.vmu.Unlock()
+	if ent == nil {
+		return nil
+	}
+	return &alive.Proof{Src: key.src, Tgt: key.cand, Result: ent.res}
 }

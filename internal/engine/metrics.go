@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/alive"
+	"repro/internal/generalize"
 	"repro/internal/llm"
 	"repro/internal/wasm"
 )
@@ -46,8 +47,11 @@ type Stats struct {
 
 	// generalizeExecs counts the input vectors the generalize stage's
 	// width sweeps executed. It is kept apart from verifyExecs, which
-	// counts the verify stage only.
-	generalizeExecs int
+	// counts the verify stage only. provenWidths counts the sweep widths
+	// that reused the verify stage's proof of the witness pair, and
+	// provenSkipped the exhaustive vectors they did not re-execute.
+	generalizeExecs             int
+	provenWidths, provenSkipped int
 
 	// Lift-coverage counters (wasm frontend): how many functions the wasm
 	// lifter saw across submitted modules, how many made it into the
@@ -141,10 +145,13 @@ func (s *Stats) recordVerify(checked int, tiers alive.TierStats) {
 	}
 }
 
-// recordGeneralize tallies the input vectors one generalize run executed.
-func (s *Stats) recordGeneralize(checked int) {
+// recordGeneralize tallies the input vectors one generalize run executed
+// and the witness-proof reuse that spared it work.
+func (s *Stats) recordGeneralize(res generalize.Result) {
 	s.mu.Lock()
-	s.generalizeExecs += checked
+	s.generalizeExecs += res.Checked
+	s.provenWidths += res.ProvenWidths
+	s.provenSkipped += res.Skipped
 	s.mu.Unlock()
 }
 
@@ -279,6 +286,16 @@ func (s *Stats) GeneralizeExecs() int {
 	return s.generalizeExecs
 }
 
+// ProofReuse reports how many generalize sweep widths reused the verify
+// stage's proof of their witness pair, and how many exhaustive vectors
+// they skipped because of it. GeneralizeExecs does not include the
+// skipped vectors.
+func (s *Stats) ProofReuse() (widths, skipped int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.provenWidths, s.provenSkipped
+}
+
 // BatchExecs splits VerifyExecs by execution path: vectors run on the
 // lane-batched interpreter versus vectors run by the reference interpreter
 // (alive.TierStats.Fallback, which the Checker never produces, so fallback
@@ -326,6 +343,7 @@ func (s *Stats) Reset() {
 	s.verifyExecs = 0
 	s.batchedExecs, s.fallbackExecs = 0, 0
 	s.generalizeExecs = 0
+	s.provenWidths, s.provenSkipped = 0, 0
 	s.lift = wasm.LiftStats{}
 }
 
@@ -368,7 +386,8 @@ func (s *Stats) Print(w io.Writer) {
 			100*float64(s.batchedExecs)/float64(s.verifyExecs), s.batchedExecs, s.fallbackExecs)
 	}
 	if s.generalizeExecs > 0 {
-		fmt.Fprintf(w, "generalize executions: %d vectors\n", s.generalizeExecs)
+		fmt.Fprintf(w, "generalize executions: %d vectors (witness proof reused at %d widths, %d vectors skipped)\n",
+			s.generalizeExecs, s.provenWidths, s.provenSkipped)
 	}
 	if s.lift.Funcs > 0 {
 		fmt.Fprintf(w, "wasm lift coverage: %s\n", s.lift.String())

@@ -363,7 +363,7 @@ func BenchVerifyWidths(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wrs := alive.VerifyWidths(widths, opts, func(w int) (*ir.Func, *ir.Func, error) {
+		wrs := alive.VerifyWidths(widths, opts, nil, func(w int) (*ir.Func, *ir.Func, error) {
 			s, err := generalize.Rewidth(perfSweepSrcF, w)
 			if err != nil {
 				return nil, nil, err

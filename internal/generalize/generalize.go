@@ -76,6 +76,10 @@ type Result struct {
 	// Checked is the number of input vectors the width sweeps executed,
 	// summed over every candidate and width tried.
 	Checked int
+	// ProvenWidths counts the sweep widths that reused the witness proof,
+	// and Skipped the exhaustive vectors they therefore did not execute
+	// (alive.VerifyWidths).
+	ProvenWidths, Skipped int
 }
 
 const maxRejections = 8
@@ -87,7 +91,13 @@ const maxRejections = 8
 // deterministic most-widths-first order) whose every valid width verifies.
 // Candidates refuted at any width are rejected outright — a counterexample
 // at one width means the abstraction, not the witness, is wrong.
-func Generalize(src, tgt *ir.Func, opts Options) Result {
+//
+// proof, when non-nil, is the verification that accepted the witness pair
+// (the engine's verify stage): each sweep passes it to alive.VerifyWidths,
+// which then skips re-enumerating the witness pair's exhaustive input space
+// at the width where a candidate reproduces the witness. Outcomes are the
+// same with or without it; only Checked drops.
+func Generalize(src, tgt *ir.Func, proof *alive.Proof, opts Options) Result {
 	opts = opts.withDefaults()
 	ss, err := analyze(src)
 	if err != nil {
@@ -180,7 +190,7 @@ func Generalize(src, tgt *ir.Func, opts Options) Result {
 			break
 		}
 		tried++
-		wrs := alive.VerifyWidths(c.valid, opts.Verify, func(w int) (*ir.Func, *ir.Func, error) {
+		wrs := alive.VerifyWidths(c.valid, opts.Verify, proof, func(w int) (*ir.Func, *ir.Func, error) {
 			s, err := instantiate(ss, c.assign[:len(ss.occs)], w)
 			if err != nil {
 				return nil, nil, err
@@ -193,6 +203,10 @@ func Generalize(src, tgt *ir.Func, opts Options) Result {
 		})
 		for _, wr := range wrs {
 			res.Checked += wr.Checked
+			if wr.Skipped > 0 {
+				res.ProvenWidths++
+				res.Skipped += wr.Skipped
+			}
 		}
 		survived := true
 		for _, wr := range wrs {

@@ -12,7 +12,7 @@ import (
 
 func mustGeneralize(t *testing.T, src, tgt string) *Rule {
 	t.Helper()
-	res := Generalize(parser.MustParseFunc(src), parser.MustParseFunc(tgt), Options{})
+	res := Generalize(parser.MustParseFunc(src), parser.MustParseFunc(tgt), nil, Options{})
 	if res.Rule == nil {
 		t.Fatalf("expected a learned rule, got rejection: %s (rejected %d candidates)",
 			res.Reason, len(res.Rejected))
@@ -132,7 +132,7 @@ func TestOverGeneralizationRejected(t *testing.T) {
 	if v := alive.Verify(src, tgt, alive.Options{}); v.Verdict != alive.Correct {
 		t.Fatalf("fixture witness is not a refinement at i8")
 	}
-	res := Generalize(src, tgt, Options{})
+	res := Generalize(src, tgt, nil, Options{})
 	if res.Rule != nil {
 		t.Fatalf("over-generalization was learned: %s (widths %v)", res.Rule.Doc, res.Rule.Widths)
 	}
@@ -186,7 +186,7 @@ func TestGeneralizeRejectsUnsupportedShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := Generalize(parser.MustParseFunc(tc.src), parser.MustParseFunc(tc.tgt), Options{})
+			res := Generalize(parser.MustParseFunc(tc.src), parser.MustParseFunc(tc.tgt), nil, Options{})
 			if res.Rule != nil {
 				t.Fatalf("learned a rule from an unsupported shape: %s", res.Rule.Doc)
 			}

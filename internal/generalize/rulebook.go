@@ -175,7 +175,7 @@ func (b *Rulebook) Verify(opts alive.Options) error {
 		opts.Programs = interp.NewCache()
 	}
 	for _, r := range rules {
-		wrs := alive.VerifyWidths(r.Widths, opts, func(w int) (*ir.Func, *ir.Func, error) {
+		wrs := alive.VerifyWidths(r.Widths, opts, nil, func(w int) (*ir.Func, *ir.Func, error) {
 			s, err := instantiate(r.src, r.Slots[:len(r.src.occs)], w)
 			if err != nil {
 				return nil, nil, err

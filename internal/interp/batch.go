@@ -209,6 +209,25 @@ func (ev *Evaluator) RetLanes(b int) []Word {
 	return ev.dynBuf[^slot][b*n : (b+1)*n : (b+1)*n]
 }
 
+// RetColumn returns the return values of the last run as one column when
+// the program has exactly one ret and that ret reads a scalar register or a
+// scalar constant: every lane b that returned normally holds its return
+// value in col[b] — the word RetLanes(b) views. It returns nil for programs
+// with several rets, a void return or a vector return value; read those per
+// lane with RetLanes. The column aliases the evaluator's scratch (or the
+// shared Program) and must not be modified.
+func (ev *Evaluator) RetColumn() []Word {
+	if k := ev.p.retConst; k >= 0 {
+		return ev.p.constCols[k]
+	}
+	r := ev.p.retReg
+	if r < 0 {
+		return nil
+	}
+	base := int(ev.p.regOff[r]) * BatchWidth
+	return ev.words[base : base+BatchWidth : base+BatchWidth]
+}
+
 // Result materializes batch lane b's outcome of the last run, exactly as
 // Exec would report it for that vector. Its Ret aliases the evaluator's
 // scratch like RetLanes.

@@ -44,6 +44,13 @@ type Program struct {
 	// executions of such programs carry one Memory per lane.
 	hasMem bool
 
+	// retReg is the scalar register the program's only ret returns, or -1;
+	// when that ret returns a scalar constant instead, retConst is its
+	// const-pool index, whose constCols entry holds it broadcast, or -1.
+	// Both are -1 for programs with several rets, a void return or a vector
+	// return value.
+	retReg, retConst int32
+
 	// entryKey is what a phi sees as the predecessor before the first
 	// branch: Exec matches phi labels against the predecessor's name, which
 	// is "" on entry.
@@ -283,6 +290,28 @@ func Compile(fn *ir.Func) *Program {
 	p.kinds = make([]batchKind, len(p.code))
 	p.constCols = make([][]Word, len(p.consts))
 	var cols []int32 // const-pool indices that need a column
+	p.retReg, p.retConst = -1, -1
+	var ret *cinstr
+	for i := range p.code {
+		if p.code[i].in.Op != ir.OpRet {
+			continue
+		}
+		if ret != nil {
+			ret = nil // several rets: lanes may return through either
+			break
+		}
+		ret = &p.code[i]
+	}
+	if ret != nil && len(ret.args) > 0 {
+		if slot := ret.args[0]; slot >= 0 {
+			if p.regLanes[slot] == 1 {
+				p.retReg = slot
+			}
+		} else if e := &p.consts[^slot]; !e.guarded() && len(e.rv.Lanes) == 1 {
+			p.retConst = ^slot
+			cols = append(cols, ^slot)
+		}
+	}
 	for gi := range p.code {
 		p.kinds[gi] = classifyBatch(p, &p.code[gi])
 		if !p.kinds[gi].specialized() {

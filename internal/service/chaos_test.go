@@ -247,7 +247,15 @@ func TestServiceDegradedStore(t *testing.T) {
 		t.Fatalf("degraded finding malformed: %v", err)
 	}
 
+	// The finding is servable before its commit barrier runs, so wait for
+	// the first failed commit before reading the degraded state.
 	stats := getStats(t, hs.URL)
+	for failDeadline := time.Now().Add(10 * time.Second); stats.Store.CommitFails == 0; stats = getStats(t, hs.URL) {
+		if time.Now().After(failDeadline) {
+			t.Fatal("no commit failed while every store sync fails")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	if stats.Store.CommitFails == 0 || stats.Store.Pending == 0 || !stats.Server.Degraded {
 		t.Fatalf("degraded durability not reported: commit_fails=%d pending=%d degraded=%v",
 			stats.Store.CommitFails, stats.Store.Pending, stats.Server.Degraded)

@@ -267,7 +267,9 @@ func decodeFunctionSection(m *Module, b []byte) ([]uint32, error) {
 		return nil, fmt.Errorf("wasm: function count: %v", err)
 	}
 	b = b[n:]
-	out := make([]uint32, 0, count)
+	// Every entry takes at least one byte, so a count beyond the section's
+	// length is malformed; capping the capacity keeps it from allocating.
+	out := make([]uint32, 0, min(count, uint64(len(b))))
 	for i := uint64(0); i < count; i++ {
 		ti, n, err := readU(b, 32)
 		if err != nil {
